@@ -83,13 +83,13 @@ failOut(const std::string &msg)
     std::exit(1);
 }
 
-std::vector<JobSpec>
+std::vector<RunSpec>
 jobMatrix(const Options &opts)
 {
-    std::vector<JobSpec> specs;
+    std::vector<RunSpec> specs;
     for (const std::string &kernel : opts.kernels) {
         for (unsigned s = 0; s < opts.seeds; s++) {
-            JobSpec spec;
+            RunSpec spec;
             spec.kernel = kernel;
             spec.injectSeed = opts.injectSeed + s;
             spec.injectRate = opts.injectRate;
@@ -217,7 +217,7 @@ statsCounter(const Daemon &daemon, const char *name)
 
 /** Submit @p spec synchronously; empty status = connection severed. */
 BaselineEntry
-submitOne(const std::string &sock, const JobSpec &spec,
+submitOne(const std::string &sock, const RunSpec &spec,
           unsigned retryMs)
 {
     BaselineEntry e;
@@ -340,7 +340,7 @@ main(int argc, char **argv)
         }
 
         mkdirOrDie(opts.workdir);
-        const std::vector<JobSpec> specs = jobMatrix(opts);
+        const std::vector<RunSpec> specs = jobMatrix(opts);
 
         // ---- Phase 1: the uninterrupted baseline --------------------
         const std::string baseDir = opts.workdir + "/baseline";
@@ -349,7 +349,7 @@ main(int argc, char **argv)
         {
             Daemon daemon(opts, baseDir, baseDir + "/xloopsd.sock");
             daemon.start();
-            for (const JobSpec &spec : specs) {
+            for (const RunSpec &spec : specs) {
                 BaselineEntry e = submitOne(
                     baseDir + "/xloopsd.sock", spec, 2000);
                 if (e.status.empty())

@@ -78,11 +78,11 @@ struct Options
     unsigned overheadReps = 3;
 };
 
-JobSpec
+RunSpec
 specForJob(const Options &opts, unsigned client, unsigned j)
 {
     const unsigned index = client * opts.jobsPerClient + j;
-    JobSpec spec;
+    RunSpec spec;
     spec.kernel = opts.kernels[index % opts.kernels.size()];
     // Distinct seeds per job defeat the result cache on purpose: this
     // measures simulation throughput, not cache hit latency.
@@ -107,7 +107,7 @@ specForJob(const Options &opts, unsigned client, unsigned j)
 }
 
 JobResult
-submitOverSocket(const Options &opts, const JobSpec &spec)
+submitOverSocket(const Options &opts, const RunSpec &spec)
 {
     ServiceClient client(opts.socketPath);
     Request req;
@@ -139,7 +139,7 @@ submitOverSocket(const Options &opts, const JobSpec &spec)
 }
 
 JobResult
-submitInProcess(Supervisor &sup, const JobSpec &spec)
+submitInProcess(Supervisor &sup, const RunSpec &spec)
 {
     const auto t0 = std::chrono::steady_clock::now();
     const Admission adm = sup.submit(spec);
@@ -202,7 +202,7 @@ runPass(const Options &opts)
     for (unsigned c = 0; c < opts.clients; c++) {
         fleet.emplace_back([&, c] {
             for (unsigned j = 0; j < opts.jobsPerClient; j++) {
-                const JobSpec spec = specForJob(opts, c, j);
+                const RunSpec spec = specForJob(opts, c, j);
                 JobResult r;
                 try {
                     r = opts.socketPath.empty()

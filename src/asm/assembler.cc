@@ -249,13 +249,17 @@ bool
 Parser::expandPseudo(const std::string &mnem,
                      const std::vector<std::string> &ops)
 {
-    auto tok = [&](size_t i) { return parseOperand(ops.at(i)); };
+    // Every pseudo-op checks its operand count before reading any.
+    const auto need = [&](size_t n, const char *form) {
+        if (ops.size() != n)
+            err(strf(mnem, " needs ", form));
+    };
+    auto tok = [&](size_t i) { return parseOperand(ops[i]); };
     auto regTok = [](RegId r) { return Token{Token::Reg, r, 0, ""}; };
     auto immTok = [](i64 v) { return Token{Token::Imm, 0, v, ""}; };
 
     if (mnem == "li") {
-        if (ops.size() != 2)
-            err("li needs rd, imm");
+        need(2, "rd, imm");
         const Token rd = tok(0);
         const Token val = tok(1);
         if (rd.kind != Token::Reg || val.kind != Token::Imm)
@@ -271,8 +275,7 @@ Parser::expandPseudo(const std::string &mnem,
         return true;
     }
     if (mnem == "la") {
-        if (ops.size() != 2)
-            err("la needs rd, symbol");
+        need(2, "rd, symbol");
         const Token rd = tok(0);
         Token sym = tok(1);
         if (rd.kind != Token::Reg || sym.kind != Token::Sym)
@@ -287,34 +290,42 @@ Parser::expandPseudo(const std::string &mnem,
         return true;
     }
     if (mnem == "mov") {
+        need(2, "rd, rs");
         addInstItem("addi", {tok(0), tok(1), immTok(0)});
         return true;
     }
     if (mnem == "j") {
+        need(1, "label");
         addInstItem("jal", {regTok(0), tok(0)});
         return true;
     }
     if (mnem == "beqz") {
+        need(2, "rs, label");
         addInstItem("beq", {tok(0), regTok(0), tok(1)});
         return true;
     }
     if (mnem == "bnez") {
+        need(2, "rs, label");
         addInstItem("bne", {tok(0), regTok(0), tok(1)});
         return true;
     }
     if (mnem == "bgt") {
+        need(3, "rs, rt, label");
         addInstItem("blt", {tok(1), tok(0), tok(2)});
         return true;
     }
     if (mnem == "ble") {
+        need(3, "rs, rt, label");
         addInstItem("bge", {tok(1), tok(0), tok(2)});
         return true;
     }
     if (mnem == "not") {
+        need(2, "rd, rs");
         addInstItem("nor", {tok(0), tok(1), regTok(0)});
         return true;
     }
     if (mnem == "neg") {
+        need(2, "rd, rs");
         addInstItem("sub", {tok(0), regTok(0), tok(1)});
         return true;
     }

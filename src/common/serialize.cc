@@ -1,7 +1,9 @@
 #include "common/serialize.h"
 
 #include <array>
+#include <cctype>
 #include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -75,14 +77,42 @@ doubleFromBits(const std::string &s)
     return v;
 }
 
-u64
-parseU64(const std::string &s)
+namespace {
+
+[[noreturn]] void
+malformed(const char *type, const std::string &s, const std::string &what)
 {
+    if (what.empty())
+        fatal(strf("malformed ", type, " '", s, "'"));
+    fatal(strf(what, ": malformed number '", s, "'"));
+}
+
+} // namespace
+
+u64
+parseU64(const std::string &s, const std::string &what)
+{
+    // strtoull alone would skip leading blanks and wrap a '-'.
+    if (s.empty() || !std::isdigit(static_cast<unsigned char>(s[0])))
+        malformed("u64", s, what);
     errno = 0;
     char *end = nullptr;
     const u64 v = std::strtoull(s.c_str(), &end, 0);
-    if (s.empty() || errno != 0 || end != s.c_str() + s.size())
-        fatal(strf("malformed u64 '", s, "'"));
+    if (errno != 0 || end != s.c_str() + s.size())
+        malformed("u64", s, what);
+    return v;
+}
+
+double
+parseDouble(const std::string &s, const std::string &what)
+{
+    if (s.empty() || std::isspace(static_cast<unsigned char>(s[0])))
+        malformed("double", s, what);
+    errno = 0;
+    char *end = nullptr;
+    const double v = std::strtod(s.c_str(), &end);
+    if (errno != 0 || end != s.c_str() + s.size() || !std::isfinite(v))
+        malformed("double", s, what);
     return v;
 }
 

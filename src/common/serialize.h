@@ -36,8 +36,13 @@ std::string doubleBits(double v);
 /** Inverse of doubleBits. */
 double doubleFromBits(const std::string &s);
 
-/** Parse a "0x..." or decimal u64 string; throws on malformed input. */
-u64 parseU64(const std::string &s);
+/** Parse a "0x..." or decimal u64 string; the whole string must be
+ *  the number. Throws FatalError on malformed input, naming @p what
+ *  (the flag or file the value came from) when it is given. */
+u64 parseU64(const std::string &s, const std::string &what = "");
+
+/** parseU64's twin for finite doubles. */
+double parseDouble(const std::string &s, const std::string &what = "");
 
 /** Emit @p values as a JSON array of u64. */
 void writeU64Array(JsonWriter &w, const std::vector<u64> &values);

@@ -3,10 +3,10 @@
 #include <fstream>
 #include <map>
 
+#include "common/serialize.h"
 #include "common/sim_error.h"
 #include "frontend/frontend.h"
 #include "system/capsule.h"
-#include "system/config.h"
 #include "system/system.h"
 
 namespace xloops {
@@ -28,41 +28,31 @@ runOne(const Program &prog, const std::vector<ArrayDeclInfo> &arrays,
        const std::string &phase, const std::string &label)
 {
     RunOutcome out;
-    SysConfig cfg = configs::byName(opts.configName);
-    if (mode == ExecMode::Specialized && opts.injectRate > 0.0)
-        cfg.lpsu.faults = FaultConfig::uniform(faultSeed, opts.injectRate);
+    RunSpec spec;
+    spec.config = opts.configName;
+    spec.mode = execModeName(mode);
+    spec.maxInsts = opts.maxInsts;
+    spec.lockstep = opts.lockstep;
+    if (mode == ExecMode::Specialized && opts.injectRate > 0.0) {
+        spec.injectSeed = faultSeed;
+        spec.injectRate = opts.injectRate;
+    }
 
-    XloopsSystem sys(cfg);
+    XloopsSystem sys(spec.sysConfig());
     sys.loadProgram(prog);
 
     CapsuleContext ctx;
-    if (!opts.capsuleDir.empty()) {
-        ctx.valid = true;
-        ctx.program = prog;
-        ctx.initialMem.copyFrom(sys.memory());
-    }
-
     RunOptions ro;
-    ro.lockstep = opts.lockstep;
+    ro.lockstep = spec.lockstep;
+    if (!opts.capsuleDir.empty())
+        ro.capsule = &ctx;
     try {
-        sys.run(prog, mode, opts.maxInsts, ro);
+        sys.run(prog, mode, spec.maxInsts, ro);
     } catch (const SimError &e) {
-        if (!opts.capsuleDir.empty()) {
-            CapsuleRunSpec spec;
-            spec.configName = cfg.name;
-            spec.modeName = execModeName(mode);
-            spec.workload = label;
-            spec.maxInsts = opts.maxInsts;
-            spec.lockstep = opts.lockstep;
-            if (mode == ExecMode::Specialized) {
-                spec.injectSeed = faultSeed;
-                spec.injectRate = opts.injectRate;
-            }
-            ctx.lastCheckpoint = sys.lastCheckpoint();
-            ctx.lastCheckpointInst = sys.lastCheckpointInst();
+        if (ctx.valid) {
             writeCapsule(opts.capsuleDir + "/" + label + "-" + phase +
                              ".capsule.json",
-                         spec, ctx, e);
+                         spec, ctx, e, label);
         }
         out.fail = {phase, e.what()};
         return out;
@@ -219,16 +209,19 @@ loadCorpusFile(const std::string &path)
     c.path = path;
     std::string line;
     std::ostringstream all;
-    auto splitList = [](std::string rest) {
+    const auto trim = [](const std::string &s) {
+        const size_t b = s.find_first_not_of(" \t\r");
+        return b == std::string::npos
+                   ? std::string()
+                   : s.substr(b, s.find_last_not_of(" \t\r") - b + 1);
+    };
+    const auto splitList = [&](const std::string &rest) {
         std::vector<std::string> items;
         std::string item;
         std::istringstream ss(rest);
-        while (std::getline(ss, item, ',')) {
-            const size_t b = item.find_first_not_of(" \t");
-            const size_t e = item.find_last_not_of(" \t");
-            if (b != std::string::npos)
-                items.push_back(item.substr(b, e - b + 1));
-        }
+        while (std::getline(ss, item, ','))
+            if (item = trim(item); !item.empty())
+                items.push_back(item);
         return items;
     };
     while (std::getline(in, line)) {
@@ -239,10 +232,7 @@ loadCorpusFile(const std::string &path)
         const size_t colon = body.find(':');
         if (colon == std::string::npos)
             continue;
-        std::string key = body.substr(0, colon);
-        const size_t kb = key.find_first_not_of(" \t");
-        const size_t ke = key.find_last_not_of(" \t");
-        key = kb == std::string::npos ? "" : key.substr(kb, ke - kb + 1);
+        const std::string key = trim(body.substr(0, colon));
         const std::string rest = body.substr(colon + 1);
         if (key == "expect")
             c.expect = splitList(rest);
@@ -256,7 +246,7 @@ loadCorpusFile(const std::string &path)
                     fatal(path + ": unknown //! option: " + opt);
             }
         } else if (key == "seed") {
-            c.seed = std::stoull(rest);
+            c.seed = parseU64(trim(rest), path + ": //! seed");
         }
         // unknown keys are ignored (forward compatibility)
     }

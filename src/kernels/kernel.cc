@@ -6,7 +6,6 @@
 #include "asm/assembler.h"
 #include "common/log.h"
 #include "cpu/threaded.h"
-#include "system/capsule.h"
 
 namespace xloops {
 
@@ -135,31 +134,9 @@ runKernel(const Kernel &kernel, const SysConfig &cfg, ExecMode mode,
     if (kernel.setup)
         kernel.setup(sys.memory(), prog);
     sys.setObserver(hooks.tracer, hooks.profiler);
-    if (hooks.traceText)
-        sys.setTrace(hooks.traceText);
-    if (hooks.capsule) {
-        // Capture the context a capsule needs *before* running: the
-        // initial image includes kernel input data written after the
-        // program load, which a Program alone cannot reproduce.
-        hooks.capsule->valid = true;
-        hooks.capsule->program = prog;
-        hooks.capsule->initialMem.copyFrom(sys.memory());
-    }
-    const auto captureCheckpoint = [&] {
-        if (hooks.capsule) {
-            hooks.capsule->lastCheckpoint = sys.lastCheckpoint();
-            hooks.capsule->lastCheckpointInst = sys.lastCheckpointInst();
-        }
-    };
-    try {
-        run.result =
-            sys.run(prog, mode, hooks.maxInsts,
-                    hooks.runOptions ? *hooks.runOptions : RunOptions{});
-    } catch (...) {
-        captureCheckpoint();
-        throw;
-    }
-    captureCheckpoint();
+    run.result = sys.run(prog, mode, hooks.maxInsts,
+                         hooks.runOptions ? *hooks.runOptions
+                                          : RunOptions{});
 
     // Serial golden model on an identical memory image. The threaded
     // executor is bit-equivalent to the legacy switch (proven by

@@ -24,8 +24,6 @@
 
 namespace xloops {
 
-struct CapsuleContext;
-
 /** One benchmark kernel. */
 struct Kernel
 {
@@ -84,21 +82,14 @@ struct RunHooks
 {
     Tracer *tracer = nullptr;         ///< structured event trace
     LoopProfiler *profiler = nullptr; ///< per-loop rollups
-    std::ostream *traceText = nullptr; ///< human-readable stream trace
 
-    /** Robustness options (lockstep / checkpoint / restore) forwarded
-     *  to the internally built system's run(). */
+    /** Robustness options (lockstep / checkpoint / restore / capsule
+     *  context) forwarded to the internally built system's run(). */
     const RunOptions *runOptions = nullptr;
 
     /** Instruction valve forwarded to the system run (sweeps tighten
      *  it per cell; a trip surfaces as SimError(InstLimit)). */
     u64 maxInsts = 500'000'000;
-
-    /** When set, filled with the capsule-relevant run context (program
-     *  image, post-setup initial memory, nearest checkpoint) — kept
-     *  up to date even when the run throws, so the caller can write a
-     *  divergence capsule from its catch site. */
-    CapsuleContext *capsule = nullptr;
 };
 
 /**

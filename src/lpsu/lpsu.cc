@@ -285,8 +285,8 @@ class LpsuEngine
                L1Cache &dcache_model, StatGroup &stat_group,
                FaultInjector &fault_injector, const ScanInfo &scan_info,
                RegFile &live_ins, i64 start_idx, i64 initial_bound,
-               u64 max_iters, std::ostream *trace_out, Tracer *tracer,
-               LoopProfile *loop_profile, Cycle abs_base);
+               u64 max_iters, Tracer *tracer, LoopProfile *loop_profile,
+               Cycle abs_base);
 
     LpsuResult run();
 
@@ -343,7 +343,6 @@ class LpsuEngine
     FaultInjector &inj;
     const ScanInfo &si;
     RegFile &liveIns;
-    std::ostream *trace = nullptr;
     Tracer *tr = nullptr;
     LoopProfile *prof = nullptr;
     Cycle absBase = 0;
@@ -393,11 +392,11 @@ LpsuEngine::LpsuEngine(const LpsuConfig &config, MainMemory &memory,
                        FaultInjector &fault_injector,
                        const ScanInfo &scan_info, RegFile &live_ins,
                        i64 start_idx, i64 initial_bound, u64 max_iters,
-                       std::ostream *trace_out, Tracer *tracer,
-                       LoopProfile *loop_profile, Cycle abs_base)
+                       Tracer *tracer, LoopProfile *loop_profile,
+                       Cycle abs_base)
     : cfg(config), mem(memory), dcache(dcache_model), stats(stat_group),
       inj(fault_injector), si(scan_info), liveIns(live_ins),
-      trace(trace_out), tr(tracer), prof(loop_profile), absBase(abs_base),
+      tr(tracer), prof(loop_profile), absBase(abs_base),
       laneObs(cfg.lanes),
       startIdx(start_idx), bound(initial_bound), maxIters(max_iters),
       cibs(cfg.lanes), llfuFree(cfg.llfus, 0),
@@ -557,11 +556,6 @@ LpsuEngine::completeIteration(Context &ctx)
     // the dispatch cap covers everything already handed out).
     if (inj.enabled() && inj.triggerMigration())
         migratePending = true;
-    if (trace) {
-        *trace << "[lpsu] iteration " << ctx.iter << " "
-               << (si.ordersMemory() ? "committed" : "completed")
-               << " @ cycle " << cycle << "\n";
-    }
     // or-pattern iterations may complete out of order (memory-port
     // starvation can delay a lower iteration past a higher one), so
     // the high-water mark must never regress. om/orm/ua commits are
@@ -651,10 +645,6 @@ void
 LpsuEngine::squash(Context &ctx)
 {
     squashes++;
-    if (trace) {
-        *trace << "[lpsu] squash iteration " << ctx.iter
-               << " @ cycle " << cycle << "\n";
-    }
     stats.add("squashes");
     stats.add("squash_cycles", cycle > ctx.iterStart
                                    ? cycle - ctx.iterStart : 0);
@@ -704,11 +694,6 @@ LpsuEngine::noteSquash()
     XTRACE(tr, absCycle(), TraceComp::Lmu, 0, TraceKind::StormSerialize,
            static_cast<i64>(stormCount),
            static_cast<i64>(absBase + serializedUntil));
-    if (trace) {
-        *trace << "[lpsu] squash storm " << stormCount
-               << ": serializing lanes until cycle " << serializedUntil
-               << "\n";
-    }
     if (stormCount > cfg.maxStorms)
         stormFallbackPending = true;
 }
@@ -745,11 +730,6 @@ LpsuEngine::beginStormFallback()
     dispatchCap = dispatchCap ? std::min(*dispatchCap, cap) : cap;
     XTRACE(tr, absCycle(), TraceComp::Lmu, 0, TraceKind::StormFallback,
            cap, 0);
-    if (trace) {
-        *trace << "[lpsu] squash storm persists: falling back to "
-               << "traditional execution at iteration " << cap
-               << " @ cycle " << cycle << "\n";
-    }
 }
 
 /**
@@ -777,10 +757,6 @@ LpsuEngine::capDispatchForMigration()
     dispatchCap = cap;
     stats.add("injected_migrations");
     XTRACE(tr, absCycle(), TraceComp::Lmu, 0, TraceKind::Migration, cap, 0);
-    if (trace) {
-        *trace << "[lpsu] injected migration: dispatch capped at "
-               << "iteration " << cap << " @ cycle " << cycle << "\n";
-    }
 }
 
 /** Per-cycle fault processing: matured broadcasts, forced squashes. */
@@ -960,10 +936,6 @@ LpsuEngine::finishBody(unsigned lane_idx, Context &ctx, Stall &stall)
             ctx.regs.get(si.boundReg) != 0) {
             exitFlag = ctx.regs.get(si.boundReg);
             bound = ctx.iter + 1;
-            if (trace) {
-                *trace << "[lpsu] data-dependent exit at iteration "
-                       << ctx.iter << " @ cycle " << cycle << "\n";
-            }
             for (auto &lane : lanes) {
                 for (auto &other : lane.ctxs) {
                     if (other.active && other.iter > ctx.iter) {
@@ -1536,14 +1508,6 @@ Lpsu::execute(const Program &prog, Addr xloopPc, RegFile &liveIns,
     statGroup.add("scans");
     residentPc = xloopPc;
 
-    if (traceOut) {
-        *traceOut << "[lpsu] scan xloop @ 0x" << std::hex << xloopPc
-                  << std::dec << " pattern " << patternName(si.pattern)
-                  << (si.dynamicBound ? ".db" : "")
-                  << (si.dataDepExit ? ".de" : "") << ", "
-                  << si.body.size() << " insts, " << si.numCirs
-                  << " CIRs, " << scan << " scan cycles\n";
-    }
     if (prof) {
         prof->invocations++;
         prof->scanCycles += scan;
@@ -1551,7 +1515,7 @@ Lpsu::execute(const Program &prog, Addr xloopPc, RegFile &liveIns,
     XTRACE(tracer, traceBase + scan, TraceComp::Lmu, 0, TraceKind::ScanDone,
            static_cast<i64>(scan), static_cast<i64>(si.body.size()));
     LpsuEngine engine(cfg, mem, dcache, statGroup, injector, si, liveIns,
-                      startIdx, bound0, maxIters, traceOut, tracer, prof,
+                      startIdx, bound0, maxIters, tracer, prof,
                       traceBase + scan);
     res = engine.run();
 
@@ -1564,10 +1528,6 @@ Lpsu::execute(const Program &prog, Addr xloopPc, RegFile &liveIns,
         const u32 bit = c & 31;
         liveIns.set(reg, liveIns.get(reg) ^ (1u << bit));
         statGroup.add("arch_corruptions");
-        if (traceOut) {
-            *traceOut << "[lpsu] FAULT arch-corrupt r" << unsigned{reg}
-                      << " bit " << bit << "\n";
-        }
     }
 
     res.scanCycles = scan;

@@ -32,7 +32,6 @@
 #include <deque>
 #include <map>
 #include <optional>
-#include <ostream>
 #include <vector>
 
 #include "asm/program.h"
@@ -191,10 +190,6 @@ class Lpsu
     /** The fault injector (for tests / tools inspecting injection). */
     const FaultInjector &faultInjector() const { return injector; }
 
-    /** Stream loop-level events (scan, iterations, squashes, exits)
-     *  to @p out; nullptr disables. */
-    void setTrace(std::ostream *out) { traceOut = out; }
-
     /** Emit structured trace events to @p t; nullptr disables. */
     void setTracer(Tracer *t) { tracer = t; }
 
@@ -213,7 +208,6 @@ class Lpsu
     StatGroup statGroup;
     FaultInjector injector;
     Addr residentPc = ~Addr{0};
-    std::ostream *traceOut = nullptr;
     Tracer *tracer = nullptr;
     LoopProfiler *profiler = nullptr;
 };

@@ -9,7 +9,7 @@
 #include "common/log.h"
 #include "common/rng.h"
 #include "common/serialize.h"
-#include "service/job.h"
+#include "system/run_spec.h"
 
 namespace xloops {
 
@@ -36,9 +36,13 @@ crcHex(u32 crc)
 } // namespace
 
 u64
-resultCacheKey(u64 programHash, const JobSpec &spec)
+resultCacheKey(u64 programHash, const RunSpec &spec)
 {
     u64 h = mix64(programHash);
+    // Kernels may share program text and differ only in their input
+    // setup (ksack-sm-om and ksack-lg-om), so the name is part of the
+    // key too.
+    h = mixString(h, spec.kernel);
     h = mixString(h, spec.config);
     h = mixString(h, spec.mode);
     h = mix64(h ^ (spec.gpBinary ? 1 : 0));

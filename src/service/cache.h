@@ -5,7 +5,8 @@
  * A cell simulated once is never simulated again: results are keyed
  * by everything that can change the canonical "xloops-stats-1"
  * document — the program-image hash (the assembled binary, so edits
- * to a kernel or the assembler naturally miss), the configuration and
+ * to a kernel or the assembler naturally miss), the kernel name (whose
+ * input setup the image does not cover), the configuration and
  * mode, the valves, and the fault seed/rates (bit-exact via their
  * IEEE-754 patterns). Because the simulator is deterministic, a hit
  * is *byte-identical* to what a cold run would have produced — the
@@ -45,10 +46,10 @@
 
 namespace xloops {
 
-struct JobSpec;
+struct RunSpec;
 
-/** The cache key of a (program image, config, seed) cell. */
-u64 resultCacheKey(u64 programHash, const JobSpec &spec);
+/** The cache key of a (program image, kernel, config, seed) cell. */
+u64 resultCacheKey(u64 programHash, const RunSpec &spec);
 
 /** Thread-safe bounded result cache with FIFO eviction. */
 class ResultCache

@@ -1,14 +1,14 @@
 /**
  * @file
  * The service job model: what a client asks the daemon to simulate
- * (JobSpec), what it gets back (JobOutcome), and the JSON codecs both
- * sides of the "xloops-job-1" / "xloops-result-1" wire protocol share
- * (see docs/SERVICE.md and service/protocol.h).
+ * (a RunSpec, system/run_spec.h), what it gets back (JobOutcome), and
+ * the outcome half of the "xloops-job-1" / "xloops-result-1" wire
+ * protocol (see docs/SERVICE.md and service/protocol.h).
  *
- * A JobSpec is deliberately the same knob set as one `xsim -k` run —
- * kernel, config, mode, valves, fault seeds, lockstep — so anything
- * reproducible from the CLI is submittable as a job and vice versa:
- * a failed job's capsule replays with plain `xsim --replay`.
+ * A job is the same RunSpec one `xsim -k` run parses its flags into,
+ * so anything reproducible from the CLI is submittable as a job and
+ * vice versa: a failed job's capsule replays with plain
+ * `xsim --replay`.
  */
 
 #ifndef XLOOPS_SERVICE_JOB_H
@@ -17,56 +17,12 @@
 #include <string>
 
 #include "common/types.h"
+#include "system/run_spec.h"
 
 namespace xloops {
 
-class JsonWriter;
-class JsonValue;
-
-/** One simulation job: a kernel on a configuration under a mode,
- *  wrapped in the service's quota envelope. */
-struct JobSpec
-{
-    std::string kernel;          ///< registered kernel name
-    std::string config = "io+x"; ///< configuration name (configs::byName)
-    std::string mode = "S";      ///< T, S, or A
-    bool gpBinary = false;       ///< run the serialized GP-ISA binary
-
-    /** Per-job instruction valve (quota; trips as InstLimit). */
-    u64 maxInsts = 500'000'000;
-
-    /** Per-job wall-clock watchdog in ms; 0 = the server default. */
-    u64 deadlineMs = 0;
-
-    /** Fault-injection knobs (same semantics as xsim). */
-    u64 injectSeed = 0;
-    double injectRate = 0.0;
-    double injectArchRate = 0.0;
-
-    /** LPSU no-commit watchdog override (cycles; only when have set). */
-    bool haveWatchdog = false;
-    u64 watchdogCycles = 0;
-
-    /** Differential lockstep verification (divergences capsule). */
-    bool lockstep = false;
-
-    /** Retry budget override; negative = the server default. */
-    int maxRetries = -1;
-
-    /**
-     * Validate names and knob combinations without running anything;
-     * returns false with a reason for submissions the daemon must
-     * reject up front (unknown kernel/config, bad mode, arch
-     * corruption without a seed, GP binary outside mode T).
-     */
-    bool validate(std::string &why) const;
-
-    /** Emit the "job" object fields (inverse of jobSpecFromJson). */
-    void toJson(JsonWriter &w) const;
-};
-
-/** Parse a "job" object; throws FatalError on malformed documents. */
-JobSpec jobSpecFromJson(const JsonValue &v);
+/** The earlier name of RunSpec, kept for clients that still use it. */
+using JobSpec = RunSpec;
 
 /** Terminal and in-flight states of a submitted job. */
 enum class JobStatus

@@ -70,7 +70,7 @@ journalEventFromName(const std::string &name, JournalEvent &ev)
 /** The compact JSON payload of one record (the CRC's exact input). */
 std::string
 encodeRecord(u64 seq, JournalEvent ev, u64 jobId, const std::string &detail,
-             u64 attempt, const JobSpec *spec)
+             u64 attempt, const RunSpec *spec)
 {
     std::ostringstream os;
     JsonWriter w(os, /*pretty=*/false);
@@ -135,7 +135,7 @@ Journal::~Journal()
 
 void
 Journal::append(JournalEvent ev, u64 jobId, const std::string &detail,
-                u64 attempt, const JobSpec *spec, bool sync)
+                u64 attempt, const RunSpec *spec, bool sync)
 {
     std::lock_guard<std::mutex> lock(m);
     if (fd < 0)
@@ -227,7 +227,7 @@ parseRecord(const std::string &line, JournalRecord &rec)
             // spec now, while we can still treat it as tail damage —
             // recovery must never throw on a replayed document.
             const JsonValue &spec = v.at("spec");
-            jobSpecFromJson(spec);
+            runSpecFromJson(spec);
             std::ostringstream os;
             JsonWriter w(os, /*pretty=*/false);
             writeJsonValue(w, spec);
@@ -292,7 +292,7 @@ recoverPending(const JournalReplay &replay)
             if (rec.specJson.empty() || live.count(rec.jobId))
                 break;  // malformed or duplicate accept: ignore
             RecoveredJob job;
-            job.spec = jobSpecFromJson(jsonParse(rec.specJson));
+            job.spec = runSpecFromJson(jsonParse(rec.specJson));
             job.oldJobId = rec.jobId;
             live[rec.jobId] = out.pending.size();
             out.pending.push_back(std::move(job));

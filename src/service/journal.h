@@ -70,7 +70,7 @@ struct JournalRecord
     u64 jobId = 0;      ///< 0 for the header
     u64 attempt = 0;    ///< attempt number (Attempt/Backoff)
     std::string detail; ///< small context: error kind, backoff ms, ...
-    std::string specJson;  ///< compact JobSpec document (Accepted)
+    std::string specJson;  ///< compact RunSpec document (Accepted)
 };
 
 /**
@@ -99,7 +99,7 @@ class Journal
      *  are reported via warn() once, never thrown — a full disk must
      *  degrade durability, not kill the daemon. */
     void append(JournalEvent ev, u64 jobId, const std::string &detail = "",
-                u64 attempt = 0, const JobSpec *spec = nullptr,
+                u64 attempt = 0, const RunSpec *spec = nullptr,
                 bool sync = false);
 
     const std::string &path() const { return filePath; }
@@ -135,7 +135,7 @@ JournalReplay replayJournal(const std::string &path);
 /** One journaled job recovery must re-run. */
 struct RecoveredJob
 {
-    JobSpec spec;
+    RunSpec spec;
     u64 oldJobId = 0;      ///< id in the previous daemon generation
     u64 attempts = 0;      ///< attempts the dead daemon had made
     bool started = false;  ///< a worker had picked it up

@@ -42,7 +42,7 @@ parseRequest(const std::string &line)
     Request req;
     req.op = v.at("op").asString();
     if (req.op == "submit") {
-        req.job = jobSpecFromJson(v.at("job"));
+        req.job = runSpecFromJson(v.at("job"));
     } else if (req.op == "status" || req.op == "capsule") {
         req.jobId = v.at("id").asU64();
     } else if (req.op != "ping" && req.op != "stats" &&

@@ -8,7 +8,7 @@
  *
  * Requests:  {"schema":"xloops-job-1","op":<op>, ...}
  *   op "ping"    — liveness probe
- *   op "submit"  — {"job":{...JobSpec...}}; synchronous (the
+ *   op "submit"  — {"job":{...RunSpec...}}; synchronous (the
  *                  response is the terminal outcome)
  *   op "status"  — {"id":N}: non-blocking outcome snapshot
  *   op "capsule" — {"id":N}: download a failed job's capsule
@@ -38,7 +38,7 @@ namespace xloops {
 struct Request
 {
     std::string op;
-    JobSpec job;      ///< meaningful when op == "submit"
+    RunSpec job;      ///< meaningful when op == "submit"
     u64 jobId = 0;    ///< meaningful for status / capsule
 };
 

@@ -42,7 +42,7 @@ FailureClass classifySimError(SimErrorKind kind);
 
 const char *failureClassName(FailureClass c);
 
-/** Bounds of the retry loop (server-wide defaults; a JobSpec can
+/** Bounds of the retry loop (server-wide defaults; a RunSpec can
  *  lower maxRetries per job, never raise it). */
 struct RetryPolicy
 {

@@ -8,7 +8,7 @@
 
 #include <unistd.h>
 
-#include "common/fault.h"
+#include "common/json.h"
 #include "common/log.h"
 #include "common/loop_profile.h"
 #include "common/metrics.h"
@@ -17,7 +17,6 @@
 #include "common/sim_error.h"
 #include "kernels/kernel.h"
 #include "system/capsule.h"
-#include "system/config.h"
 #include "system/report.h"
 
 namespace xloops {
@@ -34,16 +33,6 @@ programTextHash(const std::string &source)
     for (const char c : source)
         h = mix64(h ^ static_cast<u8>(c));
     return mix64(h);
-}
-
-ExecMode
-modeByName(const std::string &mode)
-{
-    if (mode == "T")
-        return ExecMode::Traditional;
-    if (mode == "A")
-        return ExecMode::Adaptive;
-    return ExecMode::Specialized;
 }
 
 std::string
@@ -224,7 +213,7 @@ Supervisor::recoverFromJournal()
 }
 
 Admission
-Supervisor::submit(const JobSpec &spec)
+Supervisor::submit(const RunSpec &spec)
 {
     Admission adm;
     if (drainFlag.load()) {
@@ -232,8 +221,10 @@ Supervisor::submit(const JobSpec &spec)
         flightRec.record(FlightKind::JobInvalid, 0, "draining");
         return adm;
     }
-    std::string why;
-    if (!spec.validate(why)) {
+    // The daemon runs registered kernels; a kernel-less spec is an
+    // xsim program-file run.
+    std::string why = "job has no kernel";
+    if (spec.kernel.empty() || !spec.validate(why)) {
         adm.reason = why;
         flightRec.record(FlightKind::JobInvalid, 0, why);
         return adm;
@@ -381,16 +372,20 @@ Supervisor::emitSpan(TraceKind kind, unsigned attempt, u64 jobId, i64 a1)
 void
 Supervisor::drain()
 {
-    const bool first = !drainFlag.exchange(true);
-    if (first) {
-        flightRec.record(FlightKind::DrainBegin, 0);
-        queue.close();
-        // Cancel the backlog: anything still Queued will never be
-        // popped (workers skip terminal records), and clients blocked
-        // in wait() learn their fate now rather than never.
-        std::vector<u64> backlog;
-        {
-            std::lock_guard<std::mutex> lock(m);
+    // The flag is raised under the same hold of m that cancels the
+    // backlog: a paused worker reads it in its gate predicate (under
+    // m), so it cannot pass the gate and start a job drain is about
+    // to cancel.
+    std::vector<u64> backlog;
+    bool first = false;
+    {
+        std::lock_guard<std::mutex> lock(m);
+        first = !drainFlag.exchange(true);
+        if (first) {
+            queue.close();
+            // Cancel the backlog: anything still Queued will never be
+            // popped (workers skip terminal records), and clients
+            // blocked in wait() learn their fate now rather than never.
             for (auto &[id, rec] : jobs) {
                 if (rec->outcome.status == JobStatus::Queued) {
                     rec->outcome.status = JobStatus::Cancelled;
@@ -400,6 +395,9 @@ Supervisor::drain()
             }
             paused = false;
         }
+    }
+    if (first) {
+        flightRec.record(FlightKind::DrainBegin, 0);
         if (journal)
             for (const u64 id : backlog)
                 journal->append(JournalEvent::Cancelled, id, "drain", 0,
@@ -602,9 +600,9 @@ Supervisor::finish(JobRecord &rec, JobStatus status)
 void
 Supervisor::runJob(JobRecord &rec)
 {
-    const JobSpec &spec = rec.spec;
+    const RunSpec &spec = rec.spec;
     const Kernel &kernel = kernelByName(spec.kernel);
-    const ExecMode mode = modeByName(spec.mode);
+    const ExecMode mode = execModeByName(spec.mode);
     const u64 cacheKey =
         resultCacheKey(programTextHash(kernel.source), spec);
 
@@ -622,9 +620,15 @@ Supervisor::runJob(JobRecord &rec)
         rec.outcome.cacheLookupUs = lookupUs;
     }
     if (hit) {
+        // The reply carries the same counts as the miss that filled
+        // the entry; they live in the document's "result" object.
+        const JsonValue doc = jsonParse(cached);
+        const JsonValue &result = doc.at("result");
         {
             std::lock_guard<std::mutex> lock(m);
             rec.outcome.cached = true;
+            rec.outcome.cycles = result.at("cycles").asU64();
+            rec.outcome.gppInsts = result.at("gpp_insts").asU64();
             rec.outcome.statsJson = cached;
         }
         flightRec.record(FlightKind::JobCacheHit, rec.outcome.jobId);
@@ -652,18 +656,9 @@ Supervisor::runJob(JobRecord &rec)
         // schedule is the legitimate way out. Only the first
         // attempt's result may enter the cache — later attempts
         // describe a different schedule than the key.
-        const u64 effSeed = attempt == 0
-                                ? spec.injectSeed
-                                : taskSeed(spec.injectSeed, attempt);
-
-        SysConfig sysCfg = configs::byName(spec.config);
-        if (effSeed != 0) {
-            sysCfg.lpsu.faults =
-                FaultConfig::uniform(effSeed, spec.injectRate);
-            sysCfg.lpsu.faults.archCorruptRate = spec.injectArchRate;
-        }
-        if (spec.haveWatchdog)
-            sysCfg.lpsu.watchdogCycles = spec.watchdogCycles;
+        RunSpec attemptSpec = spec;
+        if (attempt != 0)
+            attemptSpec.injectSeed = taskSeed(spec.injectSeed, attempt);
 
         RunOptions ropts;
         ropts.lockstep = spec.lockstep;
@@ -701,24 +696,12 @@ Supervisor::runJob(JobRecord &rec)
         }
 
         CapsuleContext capCtx;
+        ropts.capsule = &capCtx;
         LoopProfiler profiler;
         RunHooks hooks;
         hooks.runOptions = &ropts;
         hooks.maxInsts = spec.maxInsts;
-        hooks.capsule = &capCtx;
         hooks.profiler = &profiler;
-
-        CapsuleRunSpec capSpec;
-        capSpec.configName = spec.config;
-        capSpec.modeName = spec.mode;
-        capSpec.workload = spec.kernel;
-        capSpec.maxInsts = spec.maxInsts;
-        capSpec.lockstep = spec.lockstep;
-        capSpec.injectSeed = effSeed;
-        capSpec.injectRate = effSeed ? spec.injectRate : 0.0;
-        capSpec.archCorruptRate = effSeed ? spec.injectArchRate : 0.0;
-        capSpec.haveWatchdog = spec.haveWatchdog;
-        capSpec.watchdogCycles = spec.watchdogCycles;
 
         {
             std::lock_guard<std::mutex> lock(m);
@@ -743,8 +726,8 @@ Supervisor::runJob(JobRecord &rec)
         };
 
         try {
-            const KernelRun run =
-                runKernel(kernel, sysCfg, mode, spec.gpBinary, hooks);
+            const KernelRun run = runKernel(
+                kernel, attemptSpec.sysConfig(), mode, spec.gpBinary, hooks);
             closeAttempt();
             if (!run.passed) {
                 // A checker failure is a wrong *answer*, not a wedged
@@ -816,7 +799,7 @@ Supervisor::runJob(JobRecord &rec)
                     strf(cfg.artifactDir, "/job-", rec.outcome.jobId,
                          ".capsule.json");
                 try {
-                    writeCapsule(capsulePath, capSpec, capCtx, err,
+                    writeCapsule(capsulePath, attemptSpec, capCtx, err, "",
                                  flightRec.dumpJson(/*pretty=*/false));
                 } catch (const FatalError &werr) {
                     warn(strf("job ", rec.outcome.jobId,

@@ -2,7 +2,7 @@
  * @file
  * The job supervisor: admission control, worker dispatch, per-job
  * quotas, retry with backoff, crash isolation, and the result cache —
- * everything between "a JobSpec arrived" and "a terminal JobOutcome
+ * everything between "a RunSpec arrived" and "a terminal JobOutcome
  * exists", independent of any socket (the daemon wires a server in
  * front of it; tests drive it directly).
  *
@@ -142,7 +142,7 @@ class Supervisor
      * come back !accepted (reason distinguishes them); a shed job
      * still has an id with a terminal Shed outcome.
      */
-    Admission submit(const JobSpec &spec);
+    Admission submit(const RunSpec &spec);
 
     /** Block until @p jobId is terminal; returns its outcome.
      *  Throws FatalError for unknown ids. */
@@ -206,7 +206,7 @@ class Supervisor
   private:
     struct JobRecord
     {
-        JobSpec spec;
+        RunSpec spec;
         JobOutcome outcome;
         std::atomic<u32> stop{0};  ///< a StopCause, polled by the run
         std::string capsule;       ///< capsule document (in-memory)

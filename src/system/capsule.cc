@@ -10,7 +10,6 @@
 #include "common/log.h"
 #include "common/serialize.h"
 #include "common/sim_error.h"
-#include "system/config.h"
 #include "system/system.h"
 
 namespace xloops {
@@ -18,18 +17,6 @@ namespace xloops {
 namespace {
 
 constexpr const char *capsuleSchema = "xloops-capsule-1";
-
-ExecMode
-modeFromName(const std::string &name)
-{
-    if (name == "T")
-        return ExecMode::Traditional;
-    if (name == "S")
-        return ExecMode::Specialized;
-    if (name == "A")
-        return ExecMode::Adaptive;
-    fatal("capsule has an unknown execution mode '" + name + "'");
-}
 
 void
 writeDivergence(JsonWriter &w, const DivergenceInfo &d)
@@ -82,9 +69,9 @@ struct ReplayOutcome
 } // namespace
 
 void
-writeCapsule(const std::string &path, const CapsuleRunSpec &spec,
+writeCapsule(const std::string &path, const RunSpec &spec,
              const CapsuleContext &ctx, const SimError &error,
-             const std::string &flightJson)
+             const std::string &workload, const std::string &flightJson)
 {
     if (!ctx.valid)
         fatal("cannot write a capsule: run context was not captured");
@@ -96,16 +83,20 @@ writeCapsule(const std::string &path, const CapsuleRunSpec &spec,
     JsonWriter w(out, /*pretty=*/true);
     w.beginObject();
     w.field("schema", capsuleSchema);
-    w.field("config", spec.configName);
-    w.field("mode", spec.modeName);
-    w.field("workload", spec.workload);
+    w.field("config", spec.config);
+    w.field("mode", spec.mode);
+    w.field("workload", spec.kernel.empty() ? workload : spec.kernel);
     w.field("max_insts", spec.maxInsts);
     w.field("lockstep", spec.lockstep);
 
+    // Without a seed the rates select nothing (see sysConfig()), so
+    // they are recorded as 0.
+    const bool seeded = spec.injectSeed != 0;
     w.key("faults").beginObject();
     w.field("seed", spec.injectSeed);
-    w.field("rate_bits", doubleBits(spec.injectRate));
-    w.field("arch_rate_bits", doubleBits(spec.archCorruptRate));
+    w.field("rate_bits", doubleBits(seeded ? spec.injectRate : 0.0));
+    w.field("arch_rate_bits",
+            doubleBits(seeded ? spec.injectArchRate : 0.0));
     w.field("have_watchdog", spec.haveWatchdog);
     w.field("watchdog_cycles", spec.watchdogCycles);
     w.endObject();
@@ -165,21 +156,20 @@ replayCapsule(const std::string &path)
                    " capsule"));
 
     // ---- Rebuild the run exactly as the capsule describes it. ----
-    const std::string configName = v.at("config").asString();
-    SysConfig cfg = configs::byName(configName);
+    RunSpec spec;
+    spec.config = v.at("config").asString();
+    spec.mode = v.at("mode").asString();
+    spec.maxInsts = v.at("max_insts").asU64();
+    spec.lockstep = v.at("lockstep").asBool();
     const JsonValue &fv = v.at("faults");
-    const u64 injectSeed = fv.at("seed").asU64();
-    const double injectRate = doubleFromBits(fv.at("rate_bits").asString());
-    if (injectSeed != 0)
-        cfg.lpsu.faults = FaultConfig::uniform(injectSeed, injectRate);
-    cfg.lpsu.faults.archCorruptRate =
+    spec.injectSeed = fv.at("seed").asU64();
+    spec.injectRate = doubleFromBits(fv.at("rate_bits").asString());
+    spec.injectArchRate =
         doubleFromBits(fv.at("arch_rate_bits").asString());
-    if (fv.at("have_watchdog").asBool())
-        cfg.lpsu.watchdogCycles = fv.at("watchdog_cycles").asU64();
-
-    const ExecMode mode = modeFromName(v.at("mode").asString());
-    const u64 maxInsts = v.at("max_insts").asU64();
-    const bool lockstep = v.at("lockstep").asBool();
+    spec.haveWatchdog = fv.at("have_watchdog").asBool();
+    spec.watchdogCycles = fv.at("watchdog_cycles").asU64();
+    const SysConfig cfg = spec.sysConfig();
+    const ExecMode mode = execModeByName(spec.mode);
 
     const Program prog = Program::fromJson(v.at("program"));
     if (prog.hash() != parseU64(v.at("program_hash").asString()))
@@ -193,8 +183,8 @@ replayCapsule(const std::string &path)
         expectedDiv = readDivergence(ev.at("divergence"));
     const u64 errorInsts = ev.at("inst_count").asU64();
 
-    out << "replay: capsule " << path << " (config " << configName
-        << ", mode " << v.at("mode").asString() << ", workload "
+    out << "replay: capsule " << path << " (config " << spec.config
+        << ", mode " << spec.mode << ", workload "
         << v.at("workload").asString() << ")\n";
     out << "replay: recorded error: " << expectedKind << " after "
         << errorInsts << " insts\n";
@@ -207,7 +197,7 @@ replayCapsule(const std::string &path)
         XloopsSystem sys(cfg);
         sys.memory().loadState(v.at("initial_mem"));
         try {
-            sys.run(prog, mode, maxInsts, opts);
+            sys.run(prog, mode, spec.maxInsts, opts);
         } catch (const DivergenceError &e) {
             o.errored = true;
             o.kind = simErrorKindName(e.kind());
@@ -234,7 +224,7 @@ replayCapsule(const std::string &path)
     // bisection phase in memory along the way. ----
     std::vector<std::pair<u64, std::string>> ckpts;
     RunOptions opts;
-    opts.lockstep = lockstep;
+    opts.lockstep = spec.lockstep;
     opts.checkpointEvery = std::max<u64>(1, errorInsts / 8);
     opts.checkpointSink = [&](u64 instCount, const std::string &json) {
         ckpts.emplace_back(instCount, json);
@@ -263,7 +253,7 @@ replayCapsule(const std::string &path)
         JsonWriter cw(ck, /*pretty=*/true);
         writeJsonValue(cw, v.at("checkpoint"));
         RunOptions ropts;
-        ropts.lockstep = lockstep;
+        ropts.lockstep = spec.lockstep;
         ropts.restoreText = ck.str();
         const ReplayOutcome fromCkpt = runOnce(ropts);
         const bool ok = matches(fromCkpt);
@@ -289,7 +279,7 @@ replayCapsule(const std::string &path)
         while (lo <= hi) {
             const size_t mid = lo + (hi - lo) / 2;
             RunOptions bopts;
-            bopts.lockstep = lockstep;
+            bopts.lockstep = spec.lockstep;
             bopts.restoreText = ckpts[mid].second;
             tested++;
             if (matches(runOnce(bopts))) {

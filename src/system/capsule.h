@@ -23,6 +23,7 @@
 
 #include "asm/program.h"
 #include "mem/memory.h"
+#include "system/run_spec.h"
 
 namespace xloops {
 
@@ -39,28 +40,16 @@ struct CapsuleContext
     u64 lastCheckpointInst = 0;
 };
 
-/** The CLI-level knobs replay must reapply to rebuild the run. */
-struct CapsuleRunSpec
-{
-    std::string configName;
-    std::string modeName;
-    std::string workload;      ///< kernel or file name (label only)
-    u64 maxInsts = 500'000'000;
-    bool lockstep = false;     ///< replay re-runs with the same checker
-    u64 injectSeed = 0;
-    double injectRate = 0.0;
-    double archCorruptRate = 0.0;
-    bool haveWatchdog = false;
-    u64 watchdogCycles = 0;
-};
-
-/** Write @p error and its run context as a capsule at @p path.
+/** Write @p error and the run that raised it as a capsule at @p path.
+ *  @p spec is the RunSpec the run was built from; a run without a
+ *  kernel (a program file, a fuzz case) is labelled @p workload.
  *  @p flightJson, when non-empty, is an "xloops-flight-1" document
  *  (the service flight recorder's dump) embedded under "flight" so a
  *  daemon-produced capsule carries the fleet context that led up to
  *  the failure. */
-void writeCapsule(const std::string &path, const CapsuleRunSpec &spec,
+void writeCapsule(const std::string &path, const RunSpec &spec,
                   const CapsuleContext &ctx, const SimError &error,
+                  const std::string &workload = "",
                   const std::string &flightJson = "");
 
 /**

@@ -34,18 +34,6 @@ namespace {
 
 constexpr const char *ckptSchema = "xloops-ckpt-1";
 
-ExecMode
-modeFromName(const std::string &name)
-{
-    if (name == "T")
-        return ExecMode::Traditional;
-    if (name == "S")
-        return ExecMode::Specialized;
-    if (name == "A")
-        return ExecMode::Adaptive;
-    fatal("checkpoint has an unknown execution mode '" + name + "'");
-}
-
 } // namespace
 
 std::string
@@ -129,7 +117,7 @@ XloopsSystem::restoreCheckpoint(const JsonValue &v, const Program &prog,
         fatal(strf("checkpoint was taken on configuration '",
                    v.at("config").asString(), "', not '", cfg.name, "'"));
     }
-    const ExecMode mode = modeFromName(v.at("mode").asString());
+    const ExecMode mode = execModeByName(v.at("mode").asString());
     if (mode != rs.mode)
         fatal("checkpoint execution mode does not match the run");
     if (parseU64(v.at("program_hash").asString()) != prog.hash())

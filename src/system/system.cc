@@ -2,12 +2,11 @@
 
 #include <algorithm>
 #include <fstream>
-#include <ostream>
 
 #include "common/json.h"
 #include "common/log.h"
 #include "common/sim_error.h"
-#include "isa/disasm.h"
+#include "system/capsule.h"
 #include "system/lockstep.h"
 
 namespace xloops {
@@ -23,6 +22,16 @@ execModeName(ExecMode mode)
     return "?";
 }
 
+ExecMode
+execModeByName(const std::string &name)
+{
+    for (const ExecMode mode : {ExecMode::Traditional,
+                                ExecMode::Specialized, ExecMode::Adaptive})
+        if (name == execModeName(mode))
+            return mode;
+    fatal(strf("unknown execution mode '", name, "': must be T, S, or A"));
+}
+
 XloopsSystem::XloopsSystem(const SysConfig &config)
     : cfg(config), gpp(makeGppModel(config.gpp))
 {
@@ -34,14 +43,6 @@ void
 XloopsSystem::loadProgram(const Program &prog)
 {
     prog.loadInto(mem);
-}
-
-void
-XloopsSystem::setTrace(std::ostream *out)
-{
-    traceOut = out;
-    if (lpsu)
-        lpsu->setTrace(out);
 }
 
 void
@@ -189,6 +190,16 @@ XloopsSystem::run(const Program &prog, ExecMode mode, u64 maxInsts,
     if (mode != ExecMode::Traditional && !cfg.hasLpsu)
         fatal(strf("configuration '", cfg.name, "' has no LPSU"));
 
+    if (opts.capsule) {
+        // The starting image includes input data written after the
+        // program load, which a Program alone cannot reproduce.
+        opts.capsule->valid = true;
+        opts.capsule->program = prog;
+        opts.capsule->initialMem.copyFrom(mem);
+        opts.capsule->lastCheckpoint.clear();
+        opts.capsule->lastCheckpointInst = 0;
+    }
+
     gpp->reset();
     apt.reset();
     fallbackPcs.clear();
@@ -258,11 +269,6 @@ XloopsSystem::run(const Program &prog, ExecMode mode, u64 maxInsts,
         if (checker) {
             checker->mirrorStep(rs.pc, step, rs.regs, mem, stepCycle,
                                 rs.result.gppInsts);
-        }
-        if (traceOut) {
-            *traceOut << "[gpp @" << gpp->now() << "] 0x" << std::hex
-                      << rs.pc << std::dec << ": "
-                      << disassemble(inst, rs.pc) << "\n";
         }
 
         if (inst.isXloop() && inst.hint && cfg.hasLpsu &&
@@ -364,6 +370,10 @@ XloopsSystem::takeCheckpoint(const Program &prog, const RunState &rs,
 {
     lastCkptText = checkpointText(prog, rs, checker);
     lastCkptInst = rs.result.gppInsts;
+    if (opts.capsule) {
+        opts.capsule->lastCheckpoint = lastCkptText;
+        opts.capsule->lastCheckpointInst = lastCkptInst;
+    }
     if (!opts.checkpointPrefix.empty()) {
         const std::string path =
             strf(opts.checkpointPrefix, "-", rs.result.gppInsts, ".json");

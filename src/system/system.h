@@ -25,6 +25,7 @@
 
 namespace xloops {
 
+struct CapsuleContext;
 class LockstepChecker;
 
 /** How xloop instructions are executed. */
@@ -36,6 +37,9 @@ enum class ExecMode
 };
 
 const char *execModeName(ExecMode mode);
+
+/** Inverse of execModeName; throws FatalError for any other name. */
+ExecMode execModeByName(const std::string &name);
 
 /** Outcome of one program run. */
 struct SysResult
@@ -100,6 +104,12 @@ struct RunOptions
      * service watchdog write it from other threads.
      */
     const std::atomic<u32> *stopFlag = nullptr;
+
+    /** When set, filled with what a replay capsule needs: the program,
+     *  the memory image the run starts from, and the run's latest
+     *  checkpoint (kept current even when the run throws, so a caller
+     *  can write a capsule from its catch site). Null copies nothing. */
+    CapsuleContext *capsule = nullptr;
 };
 
 class XloopsSystem
@@ -132,12 +142,6 @@ class XloopsSystem
     const SysConfig &config() const { return cfg; }
     GppModel &gppModel() { return *gpp; }
     Lpsu &lpsuModel() { return *lpsu; }
-
-    /**
-     * Stream a per-instruction execution trace (GPP commits plus LPSU
-     * loop-level events) to @p out; nullptr disables tracing.
-     */
-    void setTrace(std::ostream *out);
 
     /**
      * Attach structured observers: a cycle-accurate event tracer and
@@ -174,8 +178,9 @@ class XloopsSystem
                                const Program &prog, RunState &rs,
                                LockstepChecker *checker);
 
-    /** Take one checkpoint: remember it, write the file (when a
-     *  prefix is configured), feed the sink. */
+    /** Take one checkpoint: remember it (also in the capsule context,
+     *  when one is set), write the file (when a prefix is configured),
+     *  feed the sink. */
     void takeCheckpoint(const Program &prog, const RunState &rs,
                         const LockstepChecker *checker,
                         const RunOptions &opts);
@@ -209,7 +214,6 @@ class XloopsSystem
     AdaptiveController apt;
     std::set<Addr> fallbackPcs;  ///< xloops whose body exceeded the IB
     std::map<Addr, StormCooldown> stormCooldowns;
-    std::ostream *traceOut = nullptr;
     Tracer *tracer = nullptr;
     LoopProfiler *profiler = nullptr;
     std::string lastCkptText;

@@ -209,6 +209,13 @@ TEST(AssemblerErrors, DuplicateLabel)
 TEST(AssemblerErrors, WrongOperandCount)
 {
     EXPECT_THROW(assemble("  add r1, r2\n"), FatalError);
+    // Pseudo-ops too: a short operand list must be a FatalError, not
+    // an escaped std::out_of_range that aborts the CLIs.
+    for (const char *src :
+         {"  mov r12,\n", "  beqz r1\n", "  j\n", "  bnez\n",
+          "  bgt r1, r2\n", "  ble r1\n", "  not r1\n", "  neg r1\n",
+          "  li r1\n", "  la r1\n"})
+        EXPECT_THROW(assemble(src), FatalError) << src;
 }
 
 TEST(AssemblerErrors, XloopForwardLabel)

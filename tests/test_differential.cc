@@ -204,30 +204,23 @@ TEST(CapsuleE2E, SeededCorruptionCapsuleReplaysIdentically)
 {
     const std::string path = "test_differential_capsule.json";
 
-    SysConfig cfg = configs::ioX();
-    cfg.lpsu.faults.seed = 1;
-    cfg.lpsu.faults.archCorruptRate = 1.0;
-
-    CapsuleRunSpec spec;
-    spec.configName = "io+x";
-    spec.modeName = "S";
-    spec.workload = "kmeans-or";
+    RunSpec spec;
+    spec.kernel = "kmeans-or";
     spec.lockstep = true;
     spec.injectSeed = 1;
-    spec.injectRate = 0.0;
-    spec.archCorruptRate = 1.0;
+    spec.injectArchRate = 1.0;
 
     RunOptions opts = lockstepOpts();
     opts.checkpointEvery = 50;  // keep one in memory for the capsule
     CapsuleContext ctx;
+    opts.capsule = &ctx;
     RunHooks hooks;
     hooks.runOptions = &opts;
-    hooks.capsule = &ctx;
 
     DivergenceInfo recorded;
     try {
-        runKernel(kernelByName("kmeans-or"), cfg, ExecMode::Specialized,
-                  false, hooks);
+        runKernel(kernelByName(spec.kernel), spec.sysConfig(),
+                  ExecMode::Specialized, false, hooks);
         FAIL() << "expected DivergenceError";
     } catch (const DivergenceError &e) {
         recorded = e.divergence();
@@ -270,30 +263,25 @@ TEST(CapsuleE2E, TamperedCapsuleFailsReplay)
 {
     const std::string path = "test_differential_tampered.json";
 
-    SysConfig cfg = configs::ioX();
-    cfg.lpsu.faults.seed = 1;
-    cfg.lpsu.faults.archCorruptRate = 1.0;
-
-    CapsuleRunSpec spec;
-    spec.configName = "io+x";
-    spec.modeName = "S";
-    spec.workload = "kmeans-or";
+    RunSpec spec;
+    spec.kernel = "kmeans-or";
     spec.lockstep = true;
-    spec.injectSeed = 999;  // wrong seed: different corruption site
-    spec.injectRate = 0.0;
-    spec.archCorruptRate = 1.0;
+    spec.injectSeed = 1;
+    spec.injectArchRate = 1.0;
 
     RunOptions opts = lockstepOpts();
     CapsuleContext ctx;
+    opts.capsule = &ctx;
     RunHooks hooks;
     hooks.runOptions = &opts;
-    hooks.capsule = &ctx;
     try {
-        runKernel(kernelByName("kmeans-or"), cfg, ExecMode::Specialized,
-                  false, hooks);
+        runKernel(kernelByName(spec.kernel), spec.sysConfig(),
+                  ExecMode::Specialized, false, hooks);
         FAIL() << "expected DivergenceError";
     } catch (const DivergenceError &e) {
-        writeCapsule(path, spec, ctx, e);
+        RunSpec tampered = spec;
+        tampered.injectSeed = 999;  // wrong seed: different corruption
+        writeCapsule(path, tampered, ctx, e);
     }
     EXPECT_NE(replayCapsule(path), 0);
     std::remove(path.c_str());

@@ -125,6 +125,26 @@ TEST(Harness, MissingExpectDirectiveRejected)
     std::remove(path.c_str());
 }
 
+TEST(Harness, MalformedSeedDirectiveNamesTheFile)
+{
+    const std::string path = "corpus_bad_seed_tmp.xl";
+    {
+        std::ofstream out(path);
+        out << "//! expect: uc\n"
+               "//! seed: abc\n"
+               "array B[2];\n"
+               "for (i = 0; i < 2; i++) { B[i] = i; }\n";
+    }
+    try {
+        loadCorpusFile(path);
+        ADD_FAILURE() << "expected FatalError";
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find(path), std::string::npos)
+            << e.what();
+    }
+    std::remove(path.c_str());
+}
+
 TEST(Harness, WrongTruthIsCaught)
 {
     GenProgram p = generateProgram(3);

@@ -22,10 +22,10 @@
 namespace xloops {
 namespace {
 
-JobSpec
+RunSpec
 specimen(const std::string &kernel = "rgb2cmyk-uc")
 {
-    JobSpec s;
+    RunSpec s;
     s.kernel = kernel;
     s.config = "io+x";
     s.mode = "S";
@@ -92,7 +92,7 @@ TEST(Journal, RoundTripsRecordsThroughReplay)
     writeAll(path, "");  // truncate any previous run's file
     {
         Journal j(path);
-        const JobSpec spec = specimen();
+        const RunSpec spec = specimen();
         j.append(JournalEvent::Accepted, 1, "", 0, &spec, true);
         j.append(JournalEvent::Started, 1);
         j.append(JournalEvent::Attempt, 1, "", 1);
@@ -132,7 +132,7 @@ TEST(Journal, TornTailIsTruncatedNotFatal)
     writeAll(path, "");
     {
         Journal j(path);
-        const JobSpec spec = specimen();
+        const RunSpec spec = specimen();
         j.append(JournalEvent::Accepted, 1, "", 0, &spec, true);
         j.append(JournalEvent::Completed, 1, "", 1, nullptr, true);
     }
@@ -156,7 +156,7 @@ TEST(Journal, CrcCorruptedRecordStopsReplay)
     writeAll(path, "");
     {
         Journal j(path);
-        const JobSpec spec = specimen();
+        const RunSpec spec = specimen();
         j.append(JournalEvent::Accepted, 1, "", 0, &spec, true);
         j.append(JournalEvent::Started, 1);
         j.append(JournalEvent::Completed, 1, "", 1, nullptr, true);
@@ -200,10 +200,10 @@ TEST(Journal, RecoveryClassifiesLifecycles)
     writeAll(path, "");
     {
         Journal j(path);
-        const JobSpec a = specimen();
-        const JobSpec b = specimen("sgemm-uc");
-        const JobSpec c = specimen("ssearch-uc");
-        const JobSpec d = specimen();
+        const RunSpec a = specimen();
+        const RunSpec b = specimen("sgemm-uc");
+        const RunSpec c = specimen("ssearch-uc");
+        const RunSpec d = specimen();
         // Job 1: accepted only — crashed before any worker took it.
         j.append(JournalEvent::Accepted, 1, "", 0, &a, true);
         // Job 2: mid-attempt (accepted, started, attempt 2).
@@ -244,8 +244,8 @@ TEST(Journal, ReplayIsIdempotent)
     writeAll(path, "");
     {
         Journal j(path);
-        const JobSpec a = specimen();
-        const JobSpec b = specimen("sgemm-uc");
+        const RunSpec a = specimen();
+        const RunSpec b = specimen("sgemm-uc");
         j.append(JournalEvent::Accepted, 1, "", 0, &a, true);
         j.append(JournalEvent::Started, 1);
         j.append(JournalEvent::Accepted, 2, "", 0, &b, true);

@@ -1,10 +1,7 @@
-// Cross-cutting coverage: execution tracing, statistic groups, the
-// deterministic RNG, error-reporting helpers, and a full-opcode
-// disassembly sweep.
+// Cross-cutting coverage: statistic groups, the deterministic RNG,
+// error-reporting helpers, and a full-opcode disassembly sweep.
 
 #include <gtest/gtest.h>
-
-#include <sstream>
 
 #include "asm/assembler.h"
 #include "common/log.h"
@@ -12,50 +9,9 @@
 #include "common/stats.h"
 #include "cpu/functional.h"
 #include "isa/disasm.h"
-#include "system/system.h"
 
 namespace xloops {
 namespace {
-
-TEST(Trace, GppAndLpsuEventsAppear)
-{
-    const Program prog = assemble(
-        "  li r1, 0\n  li r2, 8\n  la r5, x\nbody:\n"
-        "  sw r1, 0(r5)\n  addiu.xi r5, 4\n  xloop.uc r1, r2, body\n"
-        "  halt\n  .data\nx: .space 32\n");
-    XloopsSystem sys(configs::ioX());
-    std::ostringstream trace;
-    sys.setTrace(&trace);
-    sys.loadProgram(prog);
-    sys.run(prog, ExecMode::Specialized);
-    const std::string out = trace.str();
-    EXPECT_NE(out.find("[gpp"), std::string::npos);
-    EXPECT_NE(out.find("xloop.uc"), std::string::npos);
-    EXPECT_NE(out.find("[lpsu] scan xloop"), std::string::npos);
-    EXPECT_NE(out.find("iteration 7 completed"), std::string::npos);
-    EXPECT_NE(out.find("halt"), std::string::npos);
-    // Disabling tracing stops output.
-    sys.setTrace(nullptr);
-    const size_t len = trace.str().size();
-    sys.run(prog, ExecMode::Specialized);
-    EXPECT_EQ(trace.str().size(), len);
-}
-
-TEST(Trace, SquashEventsAppearForOmLoops)
-{
-    const Program prog = assemble(
-        "  li r1, 2\n  li r2, 40\n  la r5, d\nbody:\n"
-        "  slli r10, r1, 2\n  add r10, r5, r10\n"
-        "  lw r11, -8(r10)\n  addi r11, r11, 1\n  sw r11, 0(r10)\n"
-        "  xloop.om r1, r2, body\n  halt\n  .data\nd: .space 256\n");
-    XloopsSystem sys(configs::ioX());
-    std::ostringstream trace;
-    sys.setTrace(&trace);
-    sys.loadProgram(prog);
-    sys.run(prog, ExecMode::Specialized);
-    EXPECT_NE(trace.str().find("squash iteration"), std::string::npos);
-    EXPECT_NE(trace.str().find("committed"), std::string::npos);
-}
 
 TEST(Stats, AddSetMergeDump)
 {

@@ -81,10 +81,10 @@ TEST(BoundedJobQueue, RemoveUnqueuesACancelledJob)
 
 // ---------------------------------------------------------------- cache
 
-JobSpec
+RunSpec
 specimenSpec()
 {
-    JobSpec s;
+    RunSpec s;
     s.kernel = "rgb2cmyk-uc";
     s.config = "io+x";
     s.mode = "S";
@@ -108,12 +108,12 @@ TEST(ResultCache, HitIsByteIdentical)
 
 TEST(ResultCache, KeyCoversEveryResultAffectingKnob)
 {
-    const JobSpec base = specimenSpec();
+    const RunSpec base = specimenSpec();
     const u64 k0 = resultCacheKey(1, base);
     EXPECT_EQ(k0, resultCacheKey(1, base)) << "key is stable";
     EXPECT_NE(k0, resultCacheKey(2, base)) << "program image";
 
-    JobSpec s = base;
+    RunSpec s = base;
     s.injectSeed = 7;
     EXPECT_NE(k0, resultCacheKey(1, s)) << "fault seed";
     s = base;
@@ -125,6 +125,13 @@ TEST(ResultCache, KeyCoversEveryResultAffectingKnob)
     s = base;
     s.mode = "T";
     EXPECT_NE(k0, resultCacheKey(1, s)) << "mode";
+    // ksack-sm-om and ksack-lg-om share their program text (one image
+    // hash) and differ only in input setup.
+    s = base;
+    s.kernel = "ksack-sm-om";
+    const u64 kSmall = resultCacheKey(1, s);
+    s.kernel = "ksack-lg-om";
+    EXPECT_NE(kSmall, resultCacheKey(1, s)) << "kernel name";
     s = base;
     s.maxInsts = 1000;
     EXPECT_NE(k0, resultCacheKey(1, s)) << "instruction valve";
@@ -255,10 +262,10 @@ TEST(Retry, JitterIsDeterministicFromTheNamedStream)
 
 // ---------------------------------------------------------------- job
 
-TEST(JobSpec, ValidateRejectsBadSpecsUpFront)
+TEST(RunSpec, ValidateRejectsBadSpecsUpFront)
 {
     std::string why;
-    JobSpec s = specimenSpec();
+    RunSpec s = specimenSpec();
     EXPECT_TRUE(s.validate(why)) << why;
 
     s.kernel = "no-such-kernel";
@@ -284,11 +291,15 @@ TEST(JobSpec, ValidateRejectsBadSpecsUpFront)
     s = specimenSpec();
     s.maxInsts = 0;
     EXPECT_FALSE(s.validate(why));
+
+    s = specimenSpec();
+    s.kernel.clear();  // an `xsim prog.s` run names no kernel
+    EXPECT_TRUE(s.validate(why)) << why;
 }
 
-TEST(JobSpec, JsonRoundTripIsExact)
+TEST(RunSpec, JsonRoundTripIsExact)
 {
-    JobSpec s = specimenSpec();
+    RunSpec s = specimenSpec();
     s.maxInsts = 123456;
     s.deadlineMs = 2500;
     s.injectSeed = 77;
@@ -304,7 +315,7 @@ TEST(JobSpec, JsonRoundTripIsExact)
     w.beginObject();
     s.toJson(w);
     w.endObject();
-    const JobSpec back = jobSpecFromJson(jsonParse(os.str()));
+    const RunSpec back = runSpecFromJson(jsonParse(os.str()));
 
     EXPECT_EQ(back.kernel, s.kernel);
     EXPECT_EQ(back.config, s.config);
@@ -472,13 +483,26 @@ TEST(Supervisor, RunsAJobAndServesTheSecondFromCache)
     EXPECT_TRUE(o2.cached);
     EXPECT_EQ(o2.statsJson, o1.statsJson)
         << "cache hit is byte-identical to the cold run";
+    EXPECT_NE(o1.cycles, 0u);
+    EXPECT_EQ(o2.cycles, o1.cycles);
+    EXPECT_EQ(o2.gppInsts, o1.gppInsts);
     EXPECT_EQ(sup.cache().hits(), 1u);
+}
+
+TEST(Supervisor, RejectsAJobWithoutAKernel)
+{
+    Supervisor sup(testConfig("nokernel"));
+    RunSpec spec = specimenSpec();
+    spec.kernel.clear();
+    const Admission adm = sup.submit(spec);
+    EXPECT_FALSE(adm.accepted);
+    EXPECT_EQ(adm.reason, "job has no kernel");
 }
 
 TEST(Supervisor, DivergenceIsNeverRetriedButAlwaysCapsuled)
 {
     Supervisor sup(testConfig("div"));
-    JobSpec spec = specimenSpec();
+    RunSpec spec = specimenSpec();
     spec.lockstep = true;
     spec.injectSeed = 1;
     spec.injectRate = 0.0;
@@ -505,7 +529,7 @@ TEST(Supervisor, RetryableFailureIsBoundedAndThenCapsuled)
     cfg.retry.maxRetries = 2;
     Supervisor sup(cfg);
 
-    JobSpec spec = specimenSpec();
+    RunSpec spec = specimenSpec();
     spec.haveWatchdog = true;
     spec.watchdogCycles = 1;  // wedges instantly, every attempt
 
@@ -678,7 +702,7 @@ TEST(Supervisor, RecoversJournalledJobsAfterCrash)
     // worker ever took it; job 9 died mid-attempt; job 11 finished.
     {
         Journal j(cfg.journalPath);
-        const JobSpec spec = specimenSpec();
+        const RunSpec spec = specimenSpec();
         j.append(JournalEvent::Accepted, 7, "", 0, &spec, true);
         j.append(JournalEvent::Accepted, 9, "", 0, &spec, true);
         j.append(JournalEvent::Started, 9);
@@ -726,7 +750,7 @@ TEST(Supervisor, RecoveredJobBypassesTheAdmissionBound)
 
     {
         Journal j(cfg.journalPath);
-        const JobSpec spec = specimenSpec();
+        const RunSpec spec = specimenSpec();
         j.append(JournalEvent::Accepted, 1, "", 0, &spec, true);
         j.append(JournalEvent::Accepted, 2, "", 0, &spec, true);
         j.append(JournalEvent::Accepted, 3, "", 0, &spec, true);
@@ -757,7 +781,7 @@ TEST(Supervisor, ResumesARecoveredJobFromItsCheckpoint)
     // its first checkpoint boundary.
     cfg.checkpointEveryInsts = 16;
 
-    const JobSpec spec = specimenSpec();
+    const RunSpec spec = specimenSpec();
 
     // The uninterrupted baseline: what the job's stats document must
     // be, byte for byte, no matter where the crash interrupts it.

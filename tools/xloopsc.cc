@@ -13,14 +13,15 @@
  * draining).
  */
 
+#include <algorithm>
+#include <climits>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <string>
 
 #include "common/json.h"
 #include "common/log.h"
+#include "common/serialize.h"
 #include "service/client.h"
 #include "service/protocol.h"
 
@@ -133,11 +134,12 @@ main(int argc, char **argv)
                 }
                 return argv[++i];
             };
+            const auto nextU64 = [&] { return parseU64(next(), arg); };
+            const auto nextDouble = [&] { return parseDouble(next(), arg); };
             if (arg == "--socket")
                 socketPath = next();
             else if (arg == "--connect-retry-ms")
-                connectRetryMs = static_cast<unsigned>(
-                    std::strtoul(next().c_str(), nullptr, 10));
+                connectRetryMs = static_cast<unsigned>(nextU64());
             else if (arg == "--ping")
                 req.op = "ping";
             else if (arg == "--stats")
@@ -154,10 +156,10 @@ main(int argc, char **argv)
                 req.op = "drain";
             else if (arg == "--status") {
                 req.op = "status";
-                req.jobId = std::strtoull(next().c_str(), nullptr, 0);
+                req.jobId = nextU64();
             } else if (arg == "--capsule") {
                 req.op = "capsule";
-                req.jobId = std::strtoull(next().c_str(), nullptr, 0);
+                req.jobId = nextU64();
             } else if (arg == "-k") {
                 req.job.kernel = next();
                 haveJob = true;
@@ -168,29 +170,23 @@ main(int argc, char **argv)
             else if (arg == "--gp")
                 req.job.gpBinary = true;
             else if (arg == "--max-insts")
-                req.job.maxInsts =
-                    std::strtoull(next().c_str(), nullptr, 0);
+                req.job.maxInsts = nextU64();
             else if (arg == "--deadline-ms")
-                req.job.deadlineMs =
-                    std::strtoull(next().c_str(), nullptr, 0);
+                req.job.deadlineMs = nextU64();
             else if (arg == "--inject-seed")
-                req.job.injectSeed =
-                    std::strtoull(next().c_str(), nullptr, 0);
+                req.job.injectSeed = nextU64();
             else if (arg == "--inject-rate")
-                req.job.injectRate =
-                    std::strtod(next().c_str(), nullptr);
+                req.job.injectRate = nextDouble();
             else if (arg == "--inject-arch-rate")
-                req.job.injectArchRate =
-                    std::strtod(next().c_str(), nullptr);
+                req.job.injectArchRate = nextDouble();
             else if (arg == "--watchdog-cycles") {
-                req.job.watchdogCycles =
-                    std::strtoull(next().c_str(), nullptr, 0);
+                req.job.watchdogCycles = nextU64();
                 req.job.haveWatchdog = true;
             } else if (arg == "--lockstep")
                 req.job.lockstep = true;
             else if (arg == "--max-retries")
                 req.job.maxRetries = static_cast<int>(
-                    std::strtol(next().c_str(), nullptr, 10));
+                    std::min<u64>(nextU64(), INT_MAX));
             else if (arg == "--stats-out")
                 statsOut = next();
             else if (arg == "--capsule-out")

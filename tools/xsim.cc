@@ -35,17 +35,14 @@
 #include <atomic>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
-#include <iostream>
 #include <sstream>
 
 #include "asm/assembler.h"
-#include "common/fault.h"
 #include "common/json.h"
 #include "common/log.h"
 #include "common/loop_profile.h"
+#include "common/serialize.h"
 #include "common/sim_error.h"
 #include "common/trace.h"
 #include "energy/energy.h"
@@ -90,7 +87,6 @@ const Flag flagTable[] = {
      "the hardware concurrency)"},
     {"-e", nullptr, "print the dynamic energy estimate"},
     {"-v", nullptr, "dump all statistics"},
-    {"-t", nullptr, "stream a text trace (GPP commits + LPSU events)"},
     {"-l", nullptr, "list configurations and kernels"},
     {"--trace", "<file>",
      "write a Chrome trace_event JSON timeline (Perfetto-viewable)"},
@@ -169,18 +165,6 @@ readFile(const std::string &path)
     return ss.str();
 }
 
-ExecMode
-parseMode(const std::string &mode)
-{
-    if (mode == "T")
-        return ExecMode::Traditional;
-    if (mode == "S")
-        return ExecMode::Specialized;
-    if (mode == "A")
-        return ExecMode::Adaptive;
-    fatal("mode must be T, S, or A");
-}
-
 void
 listEverything()
 {
@@ -201,23 +185,13 @@ listEverything()
 int
 main(int argc, char **argv)
 {
-    std::string cfgName = "io+x";
-    std::string modeName = "S";
-    std::string kernelName;
     std::string path;
     std::string tracePath;
     std::string statsJsonPath;
     bool energy = false;
     bool verbose = false;
-    bool trace = false;
     bool profile = false;
     unsigned jobsFlag = 0;
-    u64 injectSeed = 0;
-    double injectRate = 0.02;
-    double archCorruptRate = 0.0;
-    u64 watchdogCycles = 0;
-    bool haveWatchdog = false;
-    bool lockstep = false;
     u64 checkpointEvery = 0;
     std::string checkpointPrefix;
     std::string restorePath;
@@ -233,8 +207,9 @@ main(int argc, char **argv)
     bool haveSampleSeed = false;
 
     // Live outside the try so the SimError catch can write a capsule.
+    RunSpec spec;
+    spec.injectRate = 0.02;  // the --inject-rate default with a seed
     CapsuleContext capCtx;
-    CapsuleRunSpec capSpec;
 
     int checkerExit = 0;
     try {
@@ -250,18 +225,18 @@ main(int argc, char **argv)
                 }
                 return argv[++i];
             };
+            const auto nextU64 = [&] { return parseU64(next(), arg); };
+            const auto nextDouble = [&] { return parseDouble(next(), arg); };
             if (arg == "-c")
-                cfgName = next();
+                spec.config = next();
             else if (arg == "-m")
-                modeName = next();
+                spec.mode = next();
             else if (arg == "-k")
-                kernelName = next();
+                spec.kernel = next();
             else if (arg == "-e")
                 energy = true;
             else if (arg == "-v")
                 verbose = true;
-            else if (arg == "-t")
-                trace = true;
             else if (arg == "--trace")
                 tracePath = next();
             else if (arg == "--stats-json")
@@ -269,33 +244,32 @@ main(int argc, char **argv)
             else if (arg == "--profile")
                 profile = true;
             else if (arg == "--jobs")
-                jobsFlag = static_cast<unsigned>(
-                    std::strtoul(next().c_str(), nullptr, 10));
+                jobsFlag = static_cast<unsigned>(nextU64());
             else if (arg == "--inject-seed")
-                injectSeed = std::strtoull(next().c_str(), nullptr, 0);
+                spec.injectSeed = nextU64();
             else if (arg == "--inject-rate")
-                injectRate = std::strtod(next().c_str(), nullptr);
+                spec.injectRate = nextDouble();
             else if (arg == "--inject-arch-rate")
-                archCorruptRate = std::strtod(next().c_str(), nullptr);
+                spec.injectArchRate = nextDouble();
             else if (arg == "--lockstep")
-                lockstep = true;
+                spec.lockstep = true;
             else if (arg == "--checkpoint-every")
-                checkpointEvery = std::strtoull(next().c_str(), nullptr, 0);
+                checkpointEvery = nextU64();
             else if (arg == "--checkpoint-prefix")
                 checkpointPrefix = next();
             else if (arg == "--restore")
                 restorePath = next();
             else if (arg == "--sample-period") {
-                samplePeriod = std::strtoull(next().c_str(), nullptr, 0);
+                samplePeriod = nextU64();
                 haveSamplePeriod = true;
             } else if (arg == "--sample-window") {
-                sampleWindow = std::strtoull(next().c_str(), nullptr, 0);
+                sampleWindow = nextU64();
                 haveSampleWindow = true;
             } else if (arg == "--sample-warmup") {
-                sampleWarmup = std::strtoull(next().c_str(), nullptr, 0);
+                sampleWarmup = nextU64();
                 haveSampleWarmup = true;
             } else if (arg == "--sample-seed") {
-                sampleSeed = std::strtoull(next().c_str(), nullptr, 0);
+                sampleSeed = nextU64();
                 haveSampleSeed = true;
             }
             else if (arg == "--capsule")
@@ -303,8 +277,8 @@ main(int argc, char **argv)
             else if (arg == "--replay")
                 replayPath = next();
             else if (arg == "--watchdog-cycles") {
-                watchdogCycles = std::strtoull(next().c_str(), nullptr, 0);
-                haveWatchdog = true;
+                spec.watchdogCycles = nextU64();
+                spec.haveWatchdog = true;
             } else if (arg == "--help" || arg == "-h") {
                 printUsage(stdout);
                 return 0;
@@ -344,19 +318,19 @@ main(int argc, char **argv)
         // exact (every instruction retires), so kernel validation
         // still applies; only cycle counts are estimated.
         if (samplePeriod != 0) {
-            if (modeName != "T") {
+            if (spec.mode != "T") {
                 usageError("sampled simulation models traditional "
                            "execution; use -m T");
             }
-            if (lockstep || checkpointEvery != 0 || trace ||
+            if (spec.lockstep || checkpointEvery != 0 ||
                 !tracePath.empty() || !capsulePath.empty() ||
-                injectSeed != 0 || haveWatchdog) {
+                spec.injectSeed != 0 || spec.haveWatchdog) {
                 usageError("sampled runs support only -c, -m T, "
                            "-k/<program>, --sample-*, --restore, "
                            "--jobs, and --stats-json");
             }
-            if (kernelName == "all" ||
-                kernelName.find(',') != std::string::npos)
+            if (spec.kernel == "all" ||
+                spec.kernel.find(',') != std::string::npos)
                 usageError("sampled runs take a single kernel");
 
             SampleOptions sopts;
@@ -367,9 +341,9 @@ main(int argc, char **argv)
                 sopts.warmup = sampleWarmup;
             sopts.seed = sampleSeed;
 
-            const SysConfig sampleCfg = configs::byName(cfgName);
+            const SysConfig sampleCfg = configs::byName(spec.config);
             const Kernel *kernel =
-                kernelName.empty() ? nullptr : &kernelByName(kernelName);
+                spec.kernel.empty() ? nullptr : &kernelByName(spec.kernel);
             if (kernel == nullptr && path.empty()) {
                 printUsage(stderr);
                 fatal("no program given");
@@ -414,7 +388,7 @@ main(int argc, char **argv)
                     !kernel->check(samp.memory(), prog, why))
                     passed = false;
                 std::printf("sampled kernel %s on %s mode T: %s\n",
-                            kernelName.c_str(), sampleCfg.name.c_str(),
+                            spec.kernel.c_str(), sampleCfg.name.c_str(),
                             passed ? "VALIDATED" : why.c_str());
                 if (!passed)
                     checkerExit = 2;
@@ -451,20 +425,20 @@ main(int argc, char **argv)
         // through the sweep harness; --stats-json then writes the
         // merged "xloops-sweep-1" report instead of a single-run
         // stats document.
-        if (kernelName == "all" ||
-            kernelName.find(',') != std::string::npos) {
-            if (lockstep || checkpointEvery || !restorePath.empty() ||
-                !capsulePath.empty() || !tracePath.empty() || trace) {
+        if (spec.kernel == "all" ||
+            spec.kernel.find(',') != std::string::npos) {
+            if (spec.lockstep || checkpointEvery || !restorePath.empty() ||
+                !capsulePath.empty() || !tracePath.empty()) {
                 fatal("kernel sweeps support only -c, -m, --jobs, "
                       "--inject-seed/--inject-rate, and --stats-json");
             }
-            const SysConfig sweepCfg = configs::byName(cfgName);
-            const ExecMode sweepMode = parseMode(modeName);
+            const SysConfig sweepCfg = configs::byName(spec.config);
+            const ExecMode sweepMode = execModeByName(spec.mode);
             std::vector<std::string> kernels;
-            if (kernelName == "all") {
+            if (spec.kernel == "all") {
                 kernels = tableIIKernelNames();
             } else {
-                std::istringstream list(kernelName);
+                std::istringstream list(spec.kernel);
                 std::string item;
                 while (std::getline(list, item, ','))
                     if (!item.empty())
@@ -474,19 +448,19 @@ main(int argc, char **argv)
             }
             SweepOptions sopts;
             sopts.jobs = jobsFlag;
-            sopts.injectSeed = injectSeed;
-            sopts.injectRate = injectSeed ? injectRate : 0.0;
+            sopts.injectSeed = spec.injectSeed;
+            sopts.injectRate = spec.injectSeed ? spec.injectRate : 0.0;
             const std::vector<SweepCell> cells =
                 crossProduct(kernels, {sweepCfg}, {sweepMode});
             if (cells.empty())
-                fatal("mode " + modeName + " needs an LPSU (+x config)");
+                fatal("mode " + spec.mode + " needs an LPSU (+x config)");
             const std::vector<SweepCellResult> results =
                 runSweep(cells, sopts);
             size_t passed = 0;
             for (size_t i = 0; i < results.size(); i++) {
                 std::printf("kernel %s on %s mode %s: %s\n",
                             cells[i].kernel.c_str(),
-                            sweepCfg.name.c_str(), modeName.c_str(),
+                            sweepCfg.name.c_str(), spec.mode.c_str(),
                             results[i].passed
                                 ? "VALIDATED"
                                 : results[i].error.c_str());
@@ -504,18 +478,11 @@ main(int argc, char **argv)
             return passed == results.size() ? 0 : 2;
         }
 
-        SysConfig cfg = configs::byName(cfgName);
-        const ExecMode mode = parseMode(modeName);
-        if (mode != ExecMode::Traditional && !cfg.hasLpsu)
-            fatal("mode " + modeName + " needs an LPSU (+x config)");
-        if (archCorruptRate > 0.0 && injectSeed == 0)
-            fatal("--inject-arch-rate needs --inject-seed");
-        if (injectSeed != 0) {
-            cfg.lpsu.faults = FaultConfig::uniform(injectSeed, injectRate);
-            cfg.lpsu.faults.archCorruptRate = archCorruptRate;
-        }
-        if (haveWatchdog)
-            cfg.lpsu.watchdogCycles = watchdogCycles;
+        std::string why;
+        if (!spec.validate(why))
+            fatal(why);
+        const SysConfig cfg = spec.sysConfig();
+        const ExecMode mode = execModeByName(spec.mode);
 
         // From here on a SIGINT/SIGTERM stops the run cooperatively
         // instead of killing the process: a final checkpoint (when a
@@ -529,7 +496,7 @@ main(int argc, char **argv)
 
         RunOptions ropts;
         ropts.stopFlag = &interruptFlag;
-        ropts.lockstep = lockstep;
+        ropts.lockstep = spec.lockstep;
         ropts.checkpointEvery = checkpointEvery;
         ropts.checkpointPrefix = checkpointEvery
                                      ? (checkpointPrefix.empty()
@@ -537,16 +504,9 @@ main(int argc, char **argv)
                                             : checkpointPrefix)
                                      : checkpointPrefix;
         ropts.restorePath = restorePath;
-
-        capSpec.configName = cfgName;
-        capSpec.modeName = modeName;
-        capSpec.workload = kernelName.empty() ? path : kernelName;
-        capSpec.lockstep = lockstep;
-        capSpec.injectSeed = injectSeed;
-        capSpec.injectRate = injectSeed ? injectRate : 0.0;
-        capSpec.archCorruptRate = injectSeed ? archCorruptRate : 0.0;
-        capSpec.haveWatchdog = haveWatchdog;
-        capSpec.watchdogCycles = watchdogCycles;
+        // Captured even without --capsule so an interrupt can still
+        // produce its default capsule.
+        ropts.capsule = &capCtx;
 
         Tracer tracer;
         tracer.enable(!tracePath.empty());
@@ -556,21 +516,18 @@ main(int argc, char **argv)
             (!statsJsonPath.empty() || profile) ? &profiler : nullptr;
 
         SysResult result;
-        if (!kernelName.empty()) {
+        if (!spec.kernel.empty()) {
             RunHooks hooks;
             hooks.tracer = tr;
             hooks.profiler = prof;
-            hooks.traceText = trace ? &std::cout : nullptr;
             hooks.runOptions = &ropts;
-            // Context is captured even without --capsule so an
-            // interrupt can still produce its default capsule.
-            hooks.capsule = &capCtx;
-            const KernelRun run = runKernel(kernelByName(kernelName), cfg,
-                                            mode, false, hooks);
+            hooks.maxInsts = spec.maxInsts;
+            const KernelRun run = runKernel(kernelByName(spec.kernel), cfg,
+                                            mode, spec.gpBinary, hooks);
             result = run.result;
             std::printf("kernel %s on %s mode %s: %s\n",
-                        kernelName.c_str(), cfg.name.c_str(),
-                        modeName.c_str(),
+                        spec.kernel.c_str(), cfg.name.c_str(),
+                        spec.mode.c_str(),
                         run.passed ? "VALIDATED" : run.error.c_str());
             if (!run.passed)
                 checkerExit = 2;
@@ -581,22 +538,9 @@ main(int argc, char **argv)
             }
             const Program prog = assemble(readFile(path));
             XloopsSystem sys(cfg);
-            if (trace)
-                sys.setTrace(&std::cout);
             sys.setObserver(tr, prof);
             sys.loadProgram(prog);
-            capCtx.valid = true;
-            capCtx.program = prog;
-            capCtx.initialMem.copyFrom(sys.memory());
-            try {
-                result = sys.run(prog, mode, 500'000'000, ropts);
-            } catch (...) {
-                capCtx.lastCheckpoint = sys.lastCheckpoint();
-                capCtx.lastCheckpointInst = sys.lastCheckpointInst();
-                throw;
-            }
-            capCtx.lastCheckpoint = sys.lastCheckpoint();
-            capCtx.lastCheckpointInst = sys.lastCheckpointInst();
+            result = sys.run(prog, mode, spec.maxInsts, ropts);
         }
 
         std::printf("cycles            %llu\n",
@@ -632,8 +576,8 @@ main(int argc, char **argv)
                         tracePath.c_str());
         }
         if (!statsJsonPath.empty()) {
-            writeStatsJsonFile(statsJsonPath, cfgName, modeName,
-                               kernelName.empty() ? path : kernelName,
+            writeStatsJsonFile(statsJsonPath, spec.config, spec.mode,
+                               spec.kernel.empty() ? path : spec.kernel,
                                result, profiler, tr);
             std::printf("stats: %s\n", statsJsonPath.c_str());
         }
@@ -649,7 +593,7 @@ main(int argc, char **argv)
             capsulePath = "xsim-interrupt.capsule.json";
         if (!capsulePath.empty() && capCtx.valid) {
             try {
-                writeCapsule(capsulePath, capSpec, capCtx, error);
+                writeCapsule(capsulePath, spec, capCtx, error, path);
                 std::fprintf(stderr, "capsule: %s\n",
                              capsulePath.c_str());
             } catch (const FatalError &werr) {

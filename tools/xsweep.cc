@@ -18,15 +18,13 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
-#include <iostream>
 #include <string>
 #include <vector>
 
 #include "common/log.h"
 #include "common/pool.h"
+#include "common/serialize.h"
 #include "common/sim_error.h"
 #include "kernels/kernel.h"
 #include "system/sweep.h"
@@ -97,18 +95,6 @@ splitList(const std::string &s)
     return out;
 }
 
-ExecMode
-parseMode(const std::string &mode)
-{
-    if (mode == "T")
-        return ExecMode::Traditional;
-    if (mode == "S")
-        return ExecMode::Specialized;
-    if (mode == "A")
-        return ExecMode::Adaptive;
-    fatal("mode must be T, S, or A");
-}
-
 } // namespace
 
 int
@@ -132,6 +118,7 @@ main(int argc, char **argv)
                 }
                 return argv[++i];
             };
+            const auto nextU64 = [&] { return parseU64(next(), arg); };
             if (arg == "--kernels")
                 kernelList = next();
             else if (arg == "--configs")
@@ -139,19 +126,16 @@ main(int argc, char **argv)
             else if (arg == "--modes")
                 modeList = next();
             else if (arg == "--jobs")
-                opts.jobs = static_cast<unsigned>(
-                    std::strtoul(next().c_str(), nullptr, 10));
+                opts.jobs = static_cast<unsigned>(nextU64());
             else if (arg == "--inject-seed")
-                opts.injectSeed =
-                    std::strtoull(next().c_str(), nullptr, 0);
+                opts.injectSeed = nextU64();
             else if (arg == "--inject-rate") {
-                injectRate = std::strtod(next().c_str(), nullptr);
+                injectRate = parseDouble(next(), arg);
                 haveRate = true;
             } else if (arg == "--max-insts")
-                opts.maxInsts = std::strtoull(next().c_str(), nullptr, 0);
+                opts.maxInsts = nextU64();
             else if (arg == "--deadline-ms")
-                opts.deadlineMs =
-                    std::strtoull(next().c_str(), nullptr, 0);
+                opts.deadlineMs = nextU64();
             else if (arg == "--out")
                 outPath = next();
             else if (arg == "--help" || arg == "-h") {
@@ -178,7 +162,7 @@ main(int argc, char **argv)
             cfgs.push_back(configs::byName(c));
         std::vector<ExecMode> modes;
         for (const std::string &m : splitList(modeList))
-            modes.push_back(parseMode(m));
+            modes.push_back(execModeByName(m));
         if (kernels.empty() || cfgs.empty() || modes.empty())
             fatal("empty kernel, config, or mode list");
 
