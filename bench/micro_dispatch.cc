@@ -1,9 +1,10 @@
 /**
  * @file
- * Functional-execution dispatch microbenchmark: the legacy per-opcode
- * switch (cpu/exec_core.cc via FunctionalExecutor) against the
- * threaded computed-goto interpreter over cached superblocks
- * (cpu/threaded.h), in instructions per second.
+ * Functional-execution dispatch microbenchmark: the per-instruction
+ * switch (ExecCore::step via FunctionalExecutor) against the threaded
+ * computed-goto interpreter over cached superblocks (cpu/threaded.h),
+ * in instructions per second. Both expand the same handler semantics
+ * (isa/op_meta.h), so the ratio measures dispatch alone.
  *
  * Measures whole-kernel functional runs (reload + input setup every
  * repetition, identically for both paths) plus a synthetic

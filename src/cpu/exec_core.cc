@@ -1,30 +1,8 @@
 #include "cpu/exec_core.h"
 
-#include <cmath>
-
 #include "common/log.h"
-#include "cpu/fp.h"
 
 namespace xloops {
-
-namespace {
-
-// FP results go through fp::canon/fp::toWord (cpu/fp.h) so NaN
-// payloads and float→int edge cases are bit-identical across
-// executors and compilers.
-float
-asFloat(u32 v)
-{
-    return fp::fromBits(v);
-}
-
-u32
-asBits(float f)
-{
-    return fp::canon(f);
-}
-
-} // namespace
 
 StepResult
 ExecCore::step(const Instruction &inst, Addr pc, RegFile &regs,
@@ -33,202 +11,29 @@ ExecCore::step(const Instruction &inst, Addr pc, RegFile &regs,
     StepResult res;
     res.nextPc = pc + 4;
 
-    const u32 a = regs.get(inst.rs1);
-    const u32 b = regs.get(inst.rs2);
-    const i32 sa = static_cast<i32>(a);
-    const i32 sb = static_cast<i32>(b);
-    const i32 imm = inst.imm;
-
-    auto writeReg = [&](RegId reg, u32 value) {
-        regs.set(reg, value);
-        res.regWritten = reg != 0;
-        res.writtenReg = reg;
-        res.writtenValue = value;
-    };
-    auto doBranch = [&](bool taken) {
-        res.branchTaken = taken;
-        if (taken)
-            res.nextPc = static_cast<Addr>(
-                static_cast<i64>(pc) + i64{imm} * 4);
-    };
-    auto load = [&](unsigned size, bool sign) {
-        const Addr addr = static_cast<Addr>(sa + imm);
-        u32 v = mem.read(addr, size);
-        if (sign && size < 4)
-            v = static_cast<u32>(signExtend(v, 8 * size));
-        res.memAccess = true;
-        res.memAddr = addr;
-        res.memSize = size;
-        writeReg(inst.rd, v);
-    };
-    auto store = [&](unsigned size) {
-        const Addr addr = static_cast<Addr>(sa + imm);
-        mem.write(addr, size, b);
-        res.memAccess = true;
-        res.memAddr = addr;
-        res.memSize = size;
-    };
-
-    switch (inst.op) {
-      case Op::ADD: writeReg(inst.rd, a + b); break;
-      case Op::SUB: writeReg(inst.rd, a - b); break;
-      case Op::MUL: writeReg(inst.rd, a * b); break;
-      case Op::MULH:
-        writeReg(inst.rd, static_cast<u32>(
-            (static_cast<i64>(sa) * static_cast<i64>(sb)) >> 32));
+    switch (opMeta(inst.op).handler) {
+#define XLOOPS_STEP_VALUE(name, ...)                                     \
+      case OpHandler::name:                                              \
+        regs.set(inst.rd, sem::name(regs.get(inst.rs1),                  \
+                                    regs.get(inst.rs2), inst.imm));      \
         break;
-      case Op::DIV:
-        writeReg(inst.rd, b == 0 ? ~0u : static_cast<u32>(sa / sb));
+#define XLOOPS_STEP_BRANCH(name, ...)                                    \
+      case OpHandler::name:                                              \
+        sem::branchIf(sem::name(regs.get(inst.rs1), regs.get(inst.rs2),  \
+                                inst.imm),                               \
+                      pc, inst.imm, res);                                \
         break;
-      case Op::REM:
-        writeReg(inst.rd, b == 0 ? a : static_cast<u32>(sa % sb));
+#define XLOOPS_STEP_OTHER(name)                                          \
+      case OpHandler::name:                                              \
+        sem::name(inst, pc, regs, mem, cycle, res);                      \
         break;
-      case Op::AND: writeReg(inst.rd, a & b); break;
-      case Op::OR: writeReg(inst.rd, a | b); break;
-      case Op::XOR: writeReg(inst.rd, a ^ b); break;
-      case Op::NOR: writeReg(inst.rd, ~(a | b)); break;
-      case Op::SLL: writeReg(inst.rd, a << (b & 31)); break;
-      case Op::SRL: writeReg(inst.rd, a >> (b & 31)); break;
-      case Op::SRA: writeReg(inst.rd, static_cast<u32>(sa >> (b & 31))); break;
-      case Op::SLT: writeReg(inst.rd, sa < sb ? 1 : 0); break;
-      case Op::SLTU: writeReg(inst.rd, a < b ? 1 : 0); break;
-
-      case Op::ADDI: writeReg(inst.rd, a + static_cast<u32>(imm)); break;
-      case Op::ANDI: writeReg(inst.rd, a & static_cast<u32>(imm)); break;
-      case Op::ORI: writeReg(inst.rd, a | static_cast<u32>(imm)); break;
-      case Op::XORI: writeReg(inst.rd, a ^ static_cast<u32>(imm)); break;
-      case Op::SLLI: writeReg(inst.rd, a << (imm & 31)); break;
-      case Op::SRLI: writeReg(inst.rd, a >> (imm & 31)); break;
-      case Op::SRAI:
-        writeReg(inst.rd, static_cast<u32>(sa >> (imm & 31)));
-        break;
-      case Op::SLTI: writeReg(inst.rd, sa < imm ? 1 : 0); break;
-      case Op::SLTIU:
-        writeReg(inst.rd, a < static_cast<u32>(imm) ? 1 : 0);
-        break;
-      case Op::LUI:
-        writeReg(inst.rd, static_cast<u32>(imm) << 13);
-        break;
-
-      case Op::FADD: writeReg(inst.rd, asBits(asFloat(a) + asFloat(b))); break;
-      case Op::FSUB: writeReg(inst.rd, asBits(asFloat(a) - asFloat(b))); break;
-      case Op::FMUL: writeReg(inst.rd, asBits(asFloat(a) * asFloat(b))); break;
-      case Op::FDIV: writeReg(inst.rd, asBits(asFloat(a) / asFloat(b))); break;
-      case Op::FMIN:
-        writeReg(inst.rd, asBits(std::fmin(asFloat(a), asFloat(b))));
-        break;
-      case Op::FMAX:
-        writeReg(inst.rd, asBits(std::fmax(asFloat(a), asFloat(b))));
-        break;
-      case Op::FLT: writeReg(inst.rd, asFloat(a) < asFloat(b) ? 1 : 0); break;
-      case Op::FLE: writeReg(inst.rd, asFloat(a) <= asFloat(b) ? 1 : 0); break;
-      case Op::FEQ: writeReg(inst.rd, asFloat(a) == asFloat(b) ? 1 : 0); break;
-      case Op::FCVTSW:
-        writeReg(inst.rd, asBits(static_cast<float>(sa)));
-        break;
-      case Op::FCVTWS:
-        writeReg(inst.rd, fp::toWord(asFloat(a)));
-        break;
-
-      case Op::LW: load(4, false); break;
-      case Op::LH: load(2, true); break;
-      case Op::LHU: load(2, false); break;
-      case Op::LB: load(1, true); break;
-      case Op::LBU: load(1, false); break;
-      case Op::SW: store(4); break;
-      case Op::SH: store(2); break;
-      case Op::SB: store(1); break;
-
-      case Op::AMOADD:
-      case Op::AMOAND:
-      case Op::AMOOR:
-      case Op::AMOXOR:
-      case Op::AMOSWAP:
-      case Op::AMOMIN:
-      case Op::AMOMAX: {
-        const Addr addr = a;
-        const u32 old = mem.amo(inst.op, addr, b);
-        res.memAccess = true;
-        res.memAddr = addr;
-        res.memSize = 4;
-        writeReg(inst.rd, old);
-        break;
-      }
-      case Op::FENCE:
-        break;
-
-      case Op::BEQ: doBranch(a == b); break;
-      case Op::BNE: doBranch(a != b); break;
-      case Op::BLT: doBranch(sa < sb); break;
-      case Op::BGE: doBranch(sa >= sb); break;
-      case Op::BLTU: doBranch(a < b); break;
-      case Op::BGEU: doBranch(a >= b); break;
-      case Op::JAL:
-        writeReg(inst.rd, pc + 4);
-        res.branchTaken = true;
-        res.nextPc = static_cast<Addr>(static_cast<i64>(pc) + i64{imm} * 4);
-        break;
-      case Op::JALR:
-        writeReg(inst.rd, pc + 4);
-        res.branchTaken = true;
-        res.nextPc = a + static_cast<u32>(imm);
-        break;
-
-      case Op::XLOOP_UC:
-      case Op::XLOOP_OR:
-      case Op::XLOOP_OM:
-      case Op::XLOOP_ORM:
-      case Op::XLOOP_UA:
-      case Op::XLOOP_UC_DB:
-      case Op::XLOOP_OR_DB:
-      case Op::XLOOP_OM_DB:
-      case Op::XLOOP_ORM_DB:
-      case Op::XLOOP_UA_DB: {
-        // Traditional execution: rIdx += 1; branch back while < bound.
-        const u32 idx = regs.get(inst.rd) + 1;
-        writeReg(inst.rd, idx);
-        const u32 bound = regs.get(inst.rs1);
-        res.branchTaken = static_cast<i32>(idx) < static_cast<i32>(bound);
-        if (res.branchTaken)
-            res.nextPc = static_cast<Addr>(
-                static_cast<i64>(pc) + i64{imm} * 4);
-        break;
-      }
-
-      case Op::XLOOP_OM_DE:
-      case Op::XLOOP_ORM_DE: {
-        // Data-dependent exit (extension): rIdx += 1; branch back
-        // while the exit-flag register still reads zero.
-        const u32 idx = regs.get(inst.rd) + 1;
-        writeReg(inst.rd, idx);
-        res.branchTaken = regs.get(inst.rs1) == 0;
-        if (res.branchTaken)
-            res.nextPc = static_cast<Addr>(
-                static_cast<i64>(pc) + i64{imm} * 4);
-        break;
-      }
-
-      case Op::ADDIU_XI:
-        // Traditional execution: a plain immediate add to the MIV.
-        writeReg(inst.rd, regs.get(inst.rd) + static_cast<u32>(imm));
-        break;
-      case Op::ADDU_XI:
-        writeReg(inst.rd, regs.get(inst.rd) + b);
-        break;
-
-      case Op::NOP:
-        break;
-      case Op::HALT:
-        res.halted = true;
-        res.nextPc = pc;
-        break;
-      case Op::CSRR:
-        // csr 0: cycle counter.
-        writeReg(inst.rd, static_cast<u32>(cycle));
-        break;
-
-      case Op::NumOpcodes:
-        panic("executed NumOpcodes sentinel");
+      XLOOPS_HANDLER_LIST(XLOOPS_STEP_VALUE, XLOOPS_STEP_BRANCH,
+                          XLOOPS_STEP_OTHER)
+#undef XLOOPS_STEP_VALUE
+#undef XLOOPS_STEP_BRANCH
+#undef XLOOPS_STEP_OTHER
+      case OpHandler::NumHandlers:
+        panic("executed NumHandlers sentinel");
     }
     return res;
 }

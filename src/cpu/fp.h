@@ -1,8 +1,8 @@
 /**
  * @file
- * Bit-deterministic single-precision FP semantics shared by every
- * executor (the legacy switch in exec_core.cc and the threaded
- * interpreter in threaded.cc).
+ * Bit-deterministic single-precision FP semantics. The FP entries of
+ * XLOOPS_HANDLER_LIST (isa/op_meta.h) produce their results through
+ * these helpers, so every executor that expands the list agrees.
  *
  * Plain C++ float expressions are *not* bit-deterministic at the
  * edges: when both operands of a commutative op are NaNs, x86 returns

@@ -1,8 +1,11 @@
 /**
  * @file
- * Serial functional executor — the golden reference model. Executes a
- * program (including XLOOPS binaries, via traditional xloop semantics)
- * to completion and counts dynamic instructions per class.
+ * Serial functional executor: ExecCore::step in a fetch loop. Executes
+ * a program (including XLOOPS binaries, via traditional xloop
+ * semantics) to completion and counts dynamic instructions per class.
+ * It is the reference the threaded golden model (cpu/threaded.h) is
+ * checked against: the dispatch glue of the two differs, the semantics
+ * they expand do not.
  */
 
 #ifndef XLOOPS_CPU_FUNCTIONAL_H

@@ -1,35 +1,8 @@
 #include "cpu/threaded.h"
 
-#include <cmath>
-
 #include "common/log.h"
-#include "cpu/fp.h"
 
 namespace xloops {
-
-namespace {
-
-// Shared bit-deterministic FP semantics (cpu/fp.h): NaN results are
-// canonicalized identically in every executor.
-float
-asFloat(u32 v)
-{
-    return fp::fromBits(v);
-}
-
-u32
-asBits(float f)
-{
-    return fp::canon(f);
-}
-
-Addr
-branchTarget(Addr pc, i32 imm)
-{
-    return static_cast<Addr>(static_cast<i64>(pc) + i64{imm} * 4);
-}
-
-} // namespace
 
 void
 ThreadedExecutor::bind(const Program &prog)
@@ -88,7 +61,7 @@ ThreadedExecutor::buildBlock(const DecodedProgram &dec, Addr pc)
             break;
         }
         const OpMeta &m = opMeta(inst->op);
-        sb->ops.push_back({*inst, m.handler, m.memSize, m.memSigned});
+        sb->ops.push_back({*inst, m.handler});
         if (m.endsBlock)
             break;
     }
@@ -107,7 +80,7 @@ ThreadedExecutor::blockAt(const DecodedProgram &dec, Addr pc)
             slot = buildBlock(dec, pc);
         return *slot;
     }
-    dec.fetch(pc);  // throws the same FatalError the legacy path does
+    dec.fetch(pc);  // throws the same FatalError FunctionalExecutor does
     panic(strf("DecodedProgram::fetch returned for invalid pc 0x", std::hex,
                pc));
 }
@@ -115,10 +88,9 @@ ThreadedExecutor::blockAt(const DecodedProgram &dec, Addr pc)
 /**
  * The dispatch loop. Executes up to @p budget (> 0) instructions from
  * @p pc, updating pc/halted in place and returning the count executed.
- * Semantics are a handler-by-handler transliteration of
- * ExecCore::step; every operand read/write order subtlety (xloop bound
- * read after the index write, jalr target from the pre-link rs1, ...)
- * is preserved so the differential tests can demand bit-equality.
+ * Each handler label is an expansion of XLOOPS_HANDLER_LIST over the
+ * same sem:: functions ExecCore::step calls; only operand fetch, pc
+ * advance, block refill and the xloop/xi counts are written here.
  */
 u64
 ThreadedExecutor::interp(const DecodedProgram &dec, Addr &pc, bool &halted,
@@ -129,21 +101,10 @@ ThreadedExecutor::interp(const DecodedProgram &dec, Addr &pc, bool &halted,
     const SbOp *op = sb->ops.data();
     const SbOp *end = op + sb->ops.size();
 
-#if defined(__GNUC__) || defined(__clang__)
-
-    static const void *table[numOpHandlers] = {
-        &&h_Add, &&h_Sub, &&h_Mul, &&h_Mulh, &&h_Div, &&h_Rem,
-        &&h_And, &&h_Or, &&h_Xor, &&h_Nor,
-        &&h_Sll, &&h_Srl, &&h_Sra, &&h_Slt, &&h_Sltu,
-        &&h_Addi, &&h_Andi, &&h_Ori, &&h_Xori,
-        &&h_Slli, &&h_Srli, &&h_Srai, &&h_Slti, &&h_Sltiu, &&h_Lui,
-        &&h_Fadd, &&h_Fsub, &&h_Fmul, &&h_Fdiv, &&h_Fmin, &&h_Fmax,
-        &&h_Flt, &&h_Fle, &&h_Feq, &&h_Fcvtsw, &&h_Fcvtws,
-        &&h_Load, &&h_Store, &&h_Amo, &&h_Fence,
-        &&h_Beq, &&h_Bne, &&h_Blt, &&h_Bge, &&h_Bltu, &&h_Bgeu,
-        &&h_Jal, &&h_Jalr,
-        &&h_Xloop, &&h_XloopDe, &&h_AddiuXi, &&h_AdduXi,
-        &&h_Nop, &&h_Halt, &&h_Csrr,
+    static const void *const table[numOpHandlers] = {
+#define XLOOPS_LABEL(name, ...) &&h_##name,
+        XLOOPS_HANDLER_LIST(XLOOPS_LABEL, XLOOPS_LABEL, XLOOPS_LABEL)
+#undef XLOOPS_LABEL
     };
 
 #define DISPATCH() goto *table[static_cast<unsigned>(op->h)]
@@ -176,336 +137,42 @@ ThreadedExecutor::interp(const DecodedProgram &dec, Addr &pc, bool &halted,
         DISPATCH();                                                     \
     } while (0)
 
-    DISPATCH();
+#define XLOOPS_RUN_VALUE(name, ...)                                     \
+    h_##name: {                                                         \
+        const Instruction &i = op->inst;                                \
+        regs.set(i.rd, sem::name(regs.get(i.rs1), regs.get(i.rs2),      \
+                                 i.imm));                               \
+        NEXT_SEQ();                                                     \
+    }
+#define XLOOPS_RUN_BRANCH(name, ...)                                    \
+    h_##name: {                                                         \
+        const Instruction &i = op->inst;                                \
+        if (sem::name(regs.get(i.rs1), regs.get(i.rs2), i.imm))         \
+            NEXT_JUMP(sem::branchTarget(pc, i.imm));                    \
+        NEXT_SEQ();                                                     \
+    }
+// csrr reads the instructions retired so far as its cycle counter.
+#define XLOOPS_RUN_OTHER(name)                                          \
+    h_##name: {                                                         \
+        StepResult r;                                                   \
+        r.nextPc = pc + 4;                                              \
+        sem::name(op->inst, pc, regs, mem, cycle0 + executed, r);       \
+        xloopCnt += OpHandler::name == OpHandler::Xloop ||              \
+                    OpHandler::name == OpHandler::XloopDe;              \
+        xiCnt += OpHandler::name == OpHandler::AddiuXi ||               \
+                 OpHandler::name == OpHandler::AdduXi;                  \
+        if (r.halted) {                                                 \
+            executed++;                                                 \
+            halted = true;  /* pc stays at the halt */                  \
+            goto out;                                                   \
+        }                                                               \
+        if (r.branchTaken)                                              \
+            NEXT_JUMP(r.nextPc);                                        \
+        NEXT_SEQ();                                                     \
+    }
 
-h_Add: {
-    const Instruction &i = op->inst;
-    regs.set(i.rd, regs.get(i.rs1) + regs.get(i.rs2));
-    NEXT_SEQ();
-}
-h_Sub: {
-    const Instruction &i = op->inst;
-    regs.set(i.rd, regs.get(i.rs1) - regs.get(i.rs2));
-    NEXT_SEQ();
-}
-h_Mul: {
-    const Instruction &i = op->inst;
-    regs.set(i.rd, regs.get(i.rs1) * regs.get(i.rs2));
-    NEXT_SEQ();
-}
-h_Mulh: {
-    const Instruction &i = op->inst;
-    const i32 sa = static_cast<i32>(regs.get(i.rs1));
-    const i32 sb_ = static_cast<i32>(regs.get(i.rs2));
-    regs.set(i.rd, static_cast<u32>(
-        (static_cast<i64>(sa) * static_cast<i64>(sb_)) >> 32));
-    NEXT_SEQ();
-}
-h_Div: {
-    const Instruction &i = op->inst;
-    const u32 a = regs.get(i.rs1);
-    const u32 b = regs.get(i.rs2);
-    regs.set(i.rd, b == 0 ? ~0u
-                          : static_cast<u32>(static_cast<i32>(a) /
-                                             static_cast<i32>(b)));
-    NEXT_SEQ();
-}
-h_Rem: {
-    const Instruction &i = op->inst;
-    const u32 a = regs.get(i.rs1);
-    const u32 b = regs.get(i.rs2);
-    regs.set(i.rd, b == 0 ? a
-                          : static_cast<u32>(static_cast<i32>(a) %
-                                             static_cast<i32>(b)));
-    NEXT_SEQ();
-}
-h_And: {
-    const Instruction &i = op->inst;
-    regs.set(i.rd, regs.get(i.rs1) & regs.get(i.rs2));
-    NEXT_SEQ();
-}
-h_Or: {
-    const Instruction &i = op->inst;
-    regs.set(i.rd, regs.get(i.rs1) | regs.get(i.rs2));
-    NEXT_SEQ();
-}
-h_Xor: {
-    const Instruction &i = op->inst;
-    regs.set(i.rd, regs.get(i.rs1) ^ regs.get(i.rs2));
-    NEXT_SEQ();
-}
-h_Nor: {
-    const Instruction &i = op->inst;
-    regs.set(i.rd, ~(regs.get(i.rs1) | regs.get(i.rs2)));
-    NEXT_SEQ();
-}
-h_Sll: {
-    const Instruction &i = op->inst;
-    regs.set(i.rd, regs.get(i.rs1) << (regs.get(i.rs2) & 31));
-    NEXT_SEQ();
-}
-h_Srl: {
-    const Instruction &i = op->inst;
-    regs.set(i.rd, regs.get(i.rs1) >> (regs.get(i.rs2) & 31));
-    NEXT_SEQ();
-}
-h_Sra: {
-    const Instruction &i = op->inst;
-    regs.set(i.rd, static_cast<u32>(static_cast<i32>(regs.get(i.rs1)) >>
-                                    (regs.get(i.rs2) & 31)));
-    NEXT_SEQ();
-}
-h_Slt: {
-    const Instruction &i = op->inst;
-    regs.set(i.rd, static_cast<i32>(regs.get(i.rs1)) <
-                           static_cast<i32>(regs.get(i.rs2))
-                       ? 1 : 0);
-    NEXT_SEQ();
-}
-h_Sltu: {
-    const Instruction &i = op->inst;
-    regs.set(i.rd, regs.get(i.rs1) < regs.get(i.rs2) ? 1 : 0);
-    NEXT_SEQ();
-}
-h_Addi: {
-    const Instruction &i = op->inst;
-    regs.set(i.rd, regs.get(i.rs1) + static_cast<u32>(i.imm));
-    NEXT_SEQ();
-}
-h_Andi: {
-    const Instruction &i = op->inst;
-    regs.set(i.rd, regs.get(i.rs1) & static_cast<u32>(i.imm));
-    NEXT_SEQ();
-}
-h_Ori: {
-    const Instruction &i = op->inst;
-    regs.set(i.rd, regs.get(i.rs1) | static_cast<u32>(i.imm));
-    NEXT_SEQ();
-}
-h_Xori: {
-    const Instruction &i = op->inst;
-    regs.set(i.rd, regs.get(i.rs1) ^ static_cast<u32>(i.imm));
-    NEXT_SEQ();
-}
-h_Slli: {
-    const Instruction &i = op->inst;
-    regs.set(i.rd, regs.get(i.rs1) << (i.imm & 31));
-    NEXT_SEQ();
-}
-h_Srli: {
-    const Instruction &i = op->inst;
-    regs.set(i.rd, regs.get(i.rs1) >> (i.imm & 31));
-    NEXT_SEQ();
-}
-h_Srai: {
-    const Instruction &i = op->inst;
-    regs.set(i.rd, static_cast<u32>(static_cast<i32>(regs.get(i.rs1)) >>
-                                    (i.imm & 31)));
-    NEXT_SEQ();
-}
-h_Slti: {
-    const Instruction &i = op->inst;
-    regs.set(i.rd, static_cast<i32>(regs.get(i.rs1)) < i.imm ? 1 : 0);
-    NEXT_SEQ();
-}
-h_Sltiu: {
-    const Instruction &i = op->inst;
-    regs.set(i.rd, regs.get(i.rs1) < static_cast<u32>(i.imm) ? 1 : 0);
-    NEXT_SEQ();
-}
-h_Lui: {
-    const Instruction &i = op->inst;
-    regs.set(i.rd, static_cast<u32>(i.imm) << 13);
-    NEXT_SEQ();
-}
-h_Fadd: {
-    const Instruction &i = op->inst;
-    regs.set(i.rd, asBits(asFloat(regs.get(i.rs1)) +
-                          asFloat(regs.get(i.rs2))));
-    NEXT_SEQ();
-}
-h_Fsub: {
-    const Instruction &i = op->inst;
-    regs.set(i.rd, asBits(asFloat(regs.get(i.rs1)) -
-                          asFloat(regs.get(i.rs2))));
-    NEXT_SEQ();
-}
-h_Fmul: {
-    const Instruction &i = op->inst;
-    regs.set(i.rd, asBits(asFloat(regs.get(i.rs1)) *
-                          asFloat(regs.get(i.rs2))));
-    NEXT_SEQ();
-}
-h_Fdiv: {
-    const Instruction &i = op->inst;
-    regs.set(i.rd, asBits(asFloat(regs.get(i.rs1)) /
-                          asFloat(regs.get(i.rs2))));
-    NEXT_SEQ();
-}
-h_Fmin: {
-    const Instruction &i = op->inst;
-    regs.set(i.rd, asBits(std::fmin(asFloat(regs.get(i.rs1)),
-                                    asFloat(regs.get(i.rs2)))));
-    NEXT_SEQ();
-}
-h_Fmax: {
-    const Instruction &i = op->inst;
-    regs.set(i.rd, asBits(std::fmax(asFloat(regs.get(i.rs1)),
-                                    asFloat(regs.get(i.rs2)))));
-    NEXT_SEQ();
-}
-h_Flt: {
-    const Instruction &i = op->inst;
-    regs.set(i.rd,
-             asFloat(regs.get(i.rs1)) < asFloat(regs.get(i.rs2)) ? 1 : 0);
-    NEXT_SEQ();
-}
-h_Fle: {
-    const Instruction &i = op->inst;
-    regs.set(i.rd,
-             asFloat(regs.get(i.rs1)) <= asFloat(regs.get(i.rs2)) ? 1 : 0);
-    NEXT_SEQ();
-}
-h_Feq: {
-    const Instruction &i = op->inst;
-    regs.set(i.rd,
-             asFloat(regs.get(i.rs1)) == asFloat(regs.get(i.rs2)) ? 1 : 0);
-    NEXT_SEQ();
-}
-h_Fcvtsw: {
-    const Instruction &i = op->inst;
-    regs.set(i.rd, asBits(static_cast<float>(
-        static_cast<i32>(regs.get(i.rs1)))));
-    NEXT_SEQ();
-}
-h_Fcvtws: {
-    const Instruction &i = op->inst;
-    regs.set(i.rd, fp::toWord(asFloat(regs.get(i.rs1))));
-    NEXT_SEQ();
-}
-h_Load: {
-    const SbOp &o = *op;
-    const Instruction &i = o.inst;
-    const Addr addr = static_cast<Addr>(
-        static_cast<i32>(regs.get(i.rs1)) + i.imm);
-    u32 v = mem.read(addr, o.memSize);
-    if (o.memSigned)
-        v = static_cast<u32>(signExtend(v, 8u * o.memSize));
-    regs.set(i.rd, v);
-    NEXT_SEQ();
-}
-h_Store: {
-    const SbOp &o = *op;
-    const Instruction &i = o.inst;
-    const Addr addr = static_cast<Addr>(
-        static_cast<i32>(regs.get(i.rs1)) + i.imm);
-    mem.write(addr, o.memSize, regs.get(i.rs2));
-    NEXT_SEQ();
-}
-h_Amo: {
-    const Instruction &i = op->inst;
-    const Addr addr = regs.get(i.rs1);
-    const u32 operand = regs.get(i.rs2);
-    regs.set(i.rd, mem.amo(i.op, addr, operand));
-    NEXT_SEQ();
-}
-h_Fence:
-    NEXT_SEQ();
-h_Beq: {
-    const Instruction &i = op->inst;
-    if (regs.get(i.rs1) == regs.get(i.rs2))
-        NEXT_JUMP(branchTarget(pc, i.imm));
-    NEXT_SEQ();
-}
-h_Bne: {
-    const Instruction &i = op->inst;
-    if (regs.get(i.rs1) != regs.get(i.rs2))
-        NEXT_JUMP(branchTarget(pc, i.imm));
-    NEXT_SEQ();
-}
-h_Blt: {
-    const Instruction &i = op->inst;
-    if (static_cast<i32>(regs.get(i.rs1)) <
-        static_cast<i32>(regs.get(i.rs2)))
-        NEXT_JUMP(branchTarget(pc, i.imm));
-    NEXT_SEQ();
-}
-h_Bge: {
-    const Instruction &i = op->inst;
-    if (static_cast<i32>(regs.get(i.rs1)) >=
-        static_cast<i32>(regs.get(i.rs2)))
-        NEXT_JUMP(branchTarget(pc, i.imm));
-    NEXT_SEQ();
-}
-h_Bltu: {
-    const Instruction &i = op->inst;
-    if (regs.get(i.rs1) < regs.get(i.rs2))
-        NEXT_JUMP(branchTarget(pc, i.imm));
-    NEXT_SEQ();
-}
-h_Bgeu: {
-    const Instruction &i = op->inst;
-    if (regs.get(i.rs1) >= regs.get(i.rs2))
-        NEXT_JUMP(branchTarget(pc, i.imm));
-    NEXT_SEQ();
-}
-h_Jal: {
-    const Instruction &i = op->inst;
-    regs.set(i.rd, pc + 4);
-    NEXT_JUMP(branchTarget(pc, i.imm));
-}
-h_Jalr: {
-    const Instruction &i = op->inst;
-    // Target from rs1 *before* the link write (rd may alias rs1).
-    const u32 target = regs.get(i.rs1) + static_cast<u32>(i.imm);
-    regs.set(i.rd, pc + 4);
-    NEXT_JUMP(target);
-}
-h_Xloop: {
-    const Instruction &i = op->inst;
-    // Traditional semantics: rIdx += 1; branch back while idx < bound.
-    // The bound is read *after* the index write (rs1 may alias rd).
-    const u32 idx = regs.get(i.rd) + 1;
-    regs.set(i.rd, idx);
-    const u32 bound = regs.get(i.rs1);
-    xloopCnt++;
-    if (static_cast<i32>(idx) < static_cast<i32>(bound))
-        NEXT_JUMP(branchTarget(pc, i.imm));
-    NEXT_SEQ();
-}
-h_XloopDe: {
-    const Instruction &i = op->inst;
-    const u32 idx = regs.get(i.rd) + 1;
-    regs.set(i.rd, idx);
-    xloopCnt++;
-    if (regs.get(i.rs1) == 0)
-        NEXT_JUMP(branchTarget(pc, i.imm));
-    NEXT_SEQ();
-}
-h_AddiuXi: {
-    const Instruction &i = op->inst;
-    regs.set(i.rd, regs.get(i.rd) + static_cast<u32>(i.imm));
-    xiCnt++;
-    NEXT_SEQ();
-}
-h_AdduXi: {
-    const Instruction &i = op->inst;
-    regs.set(i.rd, regs.get(i.rd) + regs.get(i.rs2));
-    xiCnt++;
-    NEXT_SEQ();
-}
-h_Nop:
-    NEXT_SEQ();
-h_Halt:
-    executed++;
-    halted = true;  // pc stays at the halt, like StepResult.nextPc = pc
-    goto out;
-h_Csrr: {
-    const Instruction &i = op->inst;
-    // csr 0: cycle counter == instructions retired so far.
-    regs.set(i.rd, static_cast<u32>(cycle0 + executed));
-    NEXT_SEQ();
-}
+    DISPATCH();
+    XLOOPS_HANDLER_LIST(XLOOPS_RUN_VALUE, XLOOPS_RUN_BRANCH, XLOOPS_RUN_OTHER)
 
 out:
     return executed;
@@ -513,40 +180,9 @@ out:
 #undef DISPATCH
 #undef NEXT_SEQ
 #undef NEXT_JUMP
-
-#else // portable fallback: same superblocks, switch semantics
-
-    size_t idx = 0;
-    while (true) {
-        if (idx == sb->ops.size()) {
-            sb = &blockAt(dec, pc);
-            idx = 0;
-        }
-        const SbOp &o = sb->ops[idx];
-        const StepResult st =
-            ExecCore::step(o.inst, pc, regs, mem, cycle0 + executed);
-        executed++;
-        if (o.h == OpHandler::Xloop || o.h == OpHandler::XloopDe)
-            xloopCnt++;
-        else if (o.h == OpHandler::AddiuXi || o.h == OpHandler::AdduXi)
-            xiCnt++;
-        if (st.halted) {
-            halted = true;
-            break;
-        }
-        if (st.nextPc == pc + 4) {
-            idx++;
-        } else {
-            sb = &blockAt(dec, st.nextPc);
-            idx = 0;
-        }
-        pc = st.nextPc;
-        if (executed == budget)
-            break;
-    }
-    return executed;
-
-#endif
+#undef XLOOPS_RUN_VALUE
+#undef XLOOPS_RUN_BRANCH
+#undef XLOOPS_RUN_OTHER
 }
 
 u64
@@ -564,7 +200,7 @@ ThreadedExecutor::execute(const Program &prog, Cursor &cur, u64 budget)
     u64 xiCnt = 0;
 
     // Stat deltas and the cursor are published on *every* exit — the
-    // legacy executor counts per instruction as it goes, so a trap
+    // FunctionalExecutor counts per instruction as it goes, so a trap
     // raised at a fetch must leave behind the counts of everything
     // already executed for the stat dumps to compare equal.
     auto flush = [&] {
@@ -593,8 +229,9 @@ ThreadedExecutor::run(const Program &prog, u64 maxInsts)
 {
     Cursor cur;
     cur.pc = prog.entry;
-    // The legacy valve checks *after* each non-halting instruction, so
-    // even maxInsts == 0 executes one instruction before tripping.
+    // FunctionalExecutor's valve checks *after* each non-halting
+    // instruction, so even maxInsts == 0 executes one instruction
+    // before tripping.
     execute(prog, cur, maxInsts > 0 ? maxInsts : 1);
     if (!cur.halted)
         fatal("functional execution exceeded instruction limit");

@@ -1,7 +1,7 @@
 /**
  * @file
- * Threaded-dispatch functional executor — the fast path twin of
- * FunctionalExecutor.
+ * Threaded-dispatch functional executor — the golden model, and the
+ * fast path twin of FunctionalExecutor.
  *
  * Instead of re-deciding the opcode with a switch on every dynamic
  * instruction, the program text is carved into *superblocks*: decoded
@@ -9,15 +9,16 @@
  * control-flow or halt instruction (opMeta().endsBlock). Blocks are
  * built lazily on first entry, cached in a dense per-word table, and
  * executed with a computed-goto dispatch loop over constexpr handler
- * ids (isa/op_meta.h) on GCC/Clang — a portable fallback drives the
- * same superblocks through ExecCore::step, so the cache logic is
- * exercised identically everywhere.
+ * ids (isa/op_meta.h). Each handler is an expansion of the one
+ * XLOOPS_HANDLER_LIST that ExecCore::step also expands, so the two
+ * executors share every opcode's semantics and differ only in the
+ * dispatch glue.
  *
  * Equivalence contract: run() produces bit-identical architectural
  * state (register file, memory image, dynamic instruction counts,
  * stat counters) and identical FatalError text on trap paths to
  * FunctionalExecutor::run on every program. tests/test_threaded_exec.cc
- * proves this per opcode; tests/test_kernels.cc proves it per kernel.
+ * checks this per opcode; tests/test_kernels.cc checks it per kernel.
  *
  * The block cache is bound to one program identity (content hash +
  * text geometry + predecoded image); executing a different or reloaded
@@ -49,7 +50,7 @@ class ThreadedExecutor
   public:
     /**
      * Resumable execution position. dynInsts doubles as the cycle
-     * value csrr observes, exactly like the legacy executor's running
+     * value csrr observes, exactly like FunctionalExecutor's running
      * count; it accumulates across execute() calls so a sampled
      * simulation sees a monotone instruction clock.
      */
@@ -97,14 +98,11 @@ class ThreadedExecutor
     size_t cacheCapacity() const { return blocks.size(); }
 
   private:
-    /** One predecoded op: instruction plus its dispatch metadata,
-     *  flattened so the hot loop never indexes opMetaTable. */
+    /** One predecoded op: instruction plus its dispatch label. */
     struct SbOp
     {
         Instruction inst;
         OpHandler h = OpHandler::Nop;
-        u8 memSize = 0;
-        bool memSigned = false;
     };
 
     /** A decoded straight-line run; ends at the first endsBlock op

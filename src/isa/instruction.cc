@@ -1,29 +1,9 @@
 #include "isa/instruction.h"
 
-#include <array>
-
 #include "common/log.h"
+#include "isa/op_meta.h"
 
 namespace xloops {
-
-namespace {
-
-constexpr std::array<OpTraits, numOpcodes> opTraitsTable = {{
-#define XLOOPS_OP_TRAITS(name, mnem, fmt, fu, lat)                    \
-    OpTraits{mnem, Format::fmt, FuClass::fu, lat},
-    XLOOPS_OPCODE_LIST(XLOOPS_OP_TRAITS)
-#undef XLOOPS_OP_TRAITS
-}};
-
-} // namespace
-
-const OpTraits &
-opTraits(Op op)
-{
-    const auto idx = static_cast<unsigned>(op);
-    XL_ASSERT(idx < numOpcodes, "bad opcode ", idx);
-    return opTraitsTable[idx];
-}
 
 bool
 isXloopOp(Op op)
@@ -184,57 +164,22 @@ Instruction::decode(u32 word)
 RegId
 Instruction::destReg() const
 {
-    switch (traits().format) {
-      case Format::R:
-      case Format::A:
-      case Format::I:
-      case Format::U:
-      case Format::C:
-      case Format::J:
-      case Format::XI:
-        return rd == 0 ? numArchRegs : rd;  // r0 writes are discarded
-      case Format::X:
-        return rd == 0 ? numArchRegs : rd;  // traditional exec writes rIdx
-      case Format::S:
-      case Format::B:
-      case Format::N:
-        return numArchRegs;
-    }
-    return numArchRegs;
+    // r0 writes are discarded; xloops write rIdx in traditional exec.
+    return opMeta(op).writesRd && rd != 0 ? rd : numArchRegs;
 }
 
 unsigned
 Instruction::srcRegs(RegId out[2]) const
 {
-    switch (traits().format) {
-      case Format::R:
-      case Format::A:
-        out[0] = rs1; out[1] = rs2;
-        return 2;
-      case Format::I:
-        out[0] = rs1;
-        return 1;
-      case Format::S:
-      case Format::B:
-        out[0] = rs1; out[1] = rs2;
-        return 2;
-      case Format::X:
-        out[0] = rd; out[1] = rs1;  // rIdx and rBound
-        return 2;
-      case Format::XI:
-        if (op == Op::ADDIU_XI) {
-            out[0] = rd;
-            return 1;
-        }
-        out[0] = rd; out[1] = rs2;
-        return 2;
-      case Format::U:
-      case Format::C:
-      case Format::J:
-      case Format::N:
-        return 0;
-    }
-    return 0;
+    const OpMeta &m = opMeta(op);
+    unsigned n = 0;
+    if (m.readsRd)
+        out[n++] = rd;  // xloop rIdx, xi MIV
+    if (m.readsRs1)
+        out[n++] = rs1;
+    if (m.readsRs2)
+        out[n++] = rs2;
+    return n;
 }
 
 } // namespace xloops

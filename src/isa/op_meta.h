@@ -1,22 +1,17 @@
 /**
  * @file
- * Compile-time per-opcode metadata for the threaded-dispatch executor.
+ * The semantics of the xrisc ISA and the per-opcode execution metadata
+ * derived from it.
  *
- * The X-macro in opcodes.h is the single source of truth for the
- * opcode space; this header expands it a second time into a constexpr
- * table of *execution* metadata: which semantic handler implements the
- * opcode, which operand fields it reads and writes, what memory side
- * effects it has, and whether it terminates a superblock. The threaded
- * interpreter (cpu/threaded.cc) dispatches on the handler id with a
- * computed goto instead of a per-opcode switch, and the superblock
- * builder uses the side-effect flags to decide where decoded basic
- * blocks end.
- *
- * Everything here is derived at compile time — the handler mapping, the
- * operand classes (from the encoding Format), and the side-effect flags
- * (from the FuClass) — and cross-checked against the OpTraits table by
- * static_assert, so the metadata can never drift from the ISA
- * definition without failing the build.
+ * XLOOPS_HANDLER_LIST defines what every OpHandler computes, once.
+ * Both functional paths expand it: ExecCore::step (the GPP models, the
+ * LPSU lanes and the lockstep shadow) and the computed-goto threaded
+ * interpreter (the golden model). The opcode→handler map is the last
+ * column of the opcodes.h X-macro; the rest of OpMeta (operand fields,
+ * memory side effects, superblock termination) is derived from the
+ * format and functional-class columns at compile time and
+ * cross-checked by static_assert, so the metadata can never drift from
+ * the ISA definition without failing the build.
  */
 
 #ifndef XLOOPS_ISA_OP_META_H
@@ -29,24 +24,92 @@
 namespace xloops {
 
 /**
- * Semantic handler implementing an opcode in the threaded interpreter.
+ * X-macro: the semantics of each OpHandler, in OpHandler order.
+ *
+ *  - VALUE(name, expr): rd <- expr.
+ *  - BRANCH(name, expr): branch to pc + 4 * imm when expr holds.
+ *  - OTHER(name): an inline function sem::name in cpu/exec_core.h
+ *    (memory, jumps, xloops, xi adds, halt, csrr).
+ *
+ * An expression reads u32 a = rs1 and b = rs2, i32 imm, their signed
+ * views sa and sb, ui = u32(imm), and the float views fa and fb
+ * (cpu/exec_core.h expands each entry into a function over them). FP
+ * results go through fp::canon and fp::toWord (cpu/fp.h) so NaN
+ * payloads and float→int edges are bit-identical on every host.
+ *
  * Opcodes whose semantics differ only by a metadata parameter share a
  * handler: the five loads share Load (size/sign from OpMeta), the three
  * stores share Store, the seven AMOs share Amo (the combine function is
- * selected by the opcode inside MainMemory::amo), the ten xloop.*[.db]
+ * selected by the opcode inside MemIface::amo), the ten xloop.*[.db]
  * opcodes share Xloop (traditional increment-compare-branch), and the
  * two xloop.*.de extensions share XloopDe.
  */
+#define XLOOPS_HANDLER_LIST(VALUE, BRANCH, OTHER)                        \
+    VALUE(Add, a + b)                                                    \
+    VALUE(Sub, a - b)                                                    \
+    VALUE(Mul, a * b)                                                    \
+    VALUE(Mulh, static_cast<u32>((i64{sa} * sb) >> 32))                  \
+    /* x / 0 = -1 and x % 0 = x; INT_MIN / -1 = INT_MIN, rem 0 */        \
+    VALUE(Div, b == 0 ? ~0u : b == ~0u ? 0u - a                          \
+                                       : static_cast<u32>(sa / sb))      \
+    VALUE(Rem, b == 0 ? a : b == ~0u ? 0u : static_cast<u32>(sa % sb))   \
+    VALUE(And, a & b)                                                    \
+    VALUE(Or, a | b)                                                     \
+    VALUE(Xor, a ^ b)                                                    \
+    VALUE(Nor, ~(a | b))                                                 \
+    VALUE(Sll, a << (b & 31))                                            \
+    VALUE(Srl, a >> (b & 31))                                            \
+    VALUE(Sra, static_cast<u32>(sa >> (b & 31)))                         \
+    VALUE(Slt, sa < sb)                                                  \
+    VALUE(Sltu, a < b)                                                   \
+    VALUE(Addi, a + ui)                                                  \
+    VALUE(Andi, a & ui)                                                  \
+    VALUE(Ori, a | ui)                                                   \
+    VALUE(Xori, a ^ ui)                                                  \
+    VALUE(Slli, a << (imm & 31))                                         \
+    VALUE(Srli, a >> (imm & 31))                                         \
+    VALUE(Srai, static_cast<u32>(sa >> (imm & 31)))                      \
+    VALUE(Slti, sa < imm)                                                \
+    VALUE(Sltiu, a < ui)                                                 \
+    VALUE(Lui, ui << 13)                                                 \
+    VALUE(Fadd, fp::canon(fa + fb))                                      \
+    VALUE(Fsub, fp::canon(fa - fb))                                      \
+    VALUE(Fmul, fp::canon(fa * fb))                                      \
+    VALUE(Fdiv, fp::canon(fa / fb))                                      \
+    VALUE(Fmin, fp::canon(std::fmin(fa, fb)))                            \
+    VALUE(Fmax, fp::canon(std::fmax(fa, fb)))                            \
+    VALUE(Flt, fa < fb)                                                  \
+    VALUE(Fle, fa <= fb)                                                 \
+    VALUE(Feq, fa == fb)                                                 \
+    VALUE(Fcvtsw, fp::canon(static_cast<float>(sa)))                     \
+    VALUE(Fcvtws, fp::toWord(fa))                                        \
+    OTHER(Load)                                                          \
+    OTHER(Store)                                                         \
+    OTHER(Amo)                                                           \
+    OTHER(Fence)                                                         \
+    BRANCH(Beq, a == b)                                                  \
+    BRANCH(Bne, a != b)                                                  \
+    BRANCH(Blt, sa < sb)                                                 \
+    BRANCH(Bge, sa >= sb)                                                \
+    BRANCH(Bltu, a < b)                                                  \
+    BRANCH(Bgeu, a >= b)                                                 \
+    OTHER(Jal)                                                           \
+    OTHER(Jalr)                                                          \
+    OTHER(Xloop)                                                         \
+    OTHER(XloopDe)                                                       \
+    OTHER(AddiuXi)                                                       \
+    OTHER(AdduXi)                                                        \
+    OTHER(Nop)                                                           \
+    OTHER(Halt)                                                          \
+    OTHER(Csrr)
+
+/** Semantic handler implementing an opcode (see XLOOPS_HANDLER_LIST). */
 enum class OpHandler : u8
 {
-    Add, Sub, Mul, Mulh, Div, Rem, And, Or, Xor, Nor,
-    Sll, Srl, Sra, Slt, Sltu,
-    Addi, Andi, Ori, Xori, Slli, Srli, Srai, Slti, Sltiu, Lui,
-    Fadd, Fsub, Fmul, Fdiv, Fmin, Fmax, Flt, Fle, Feq, Fcvtsw, Fcvtws,
-    Load, Store, Amo, Fence,
-    Beq, Bne, Blt, Bge, Bltu, Bgeu, Jal, Jalr,
-    Xloop, XloopDe, AddiuXi, AdduXi,
-    Nop, Halt, Csrr,
+#define XLOOPS_HANDLER_ENUM(name, ...) name,
+    XLOOPS_HANDLER_LIST(XLOOPS_HANDLER_ENUM, XLOOPS_HANDLER_ENUM,
+                        XLOOPS_HANDLER_ENUM)
+#undef XLOOPS_HANDLER_ENUM
     NumHandlers
 };
 
@@ -74,106 +137,6 @@ struct OpMeta
 
 namespace op_meta_detail {
 
-// Second and third expansions of the ISA X-macro: the encoding format
-// and functional class of every opcode, indexable at compile time
-// (instruction.cc's OpTraits table is runtime-only by design).
-constexpr std::array<Format, numOpcodes> formats = {{
-#define XLOOPS_OP_FMT(name, mnem, fmt, fu, lat) Format::fmt,
-    XLOOPS_OPCODE_LIST(XLOOPS_OP_FMT)
-#undef XLOOPS_OP_FMT
-}};
-
-constexpr std::array<FuClass, numOpcodes> fuClasses = {{
-#define XLOOPS_OP_FU(name, mnem, fmt, fu, lat) FuClass::fu,
-    XLOOPS_OPCODE_LIST(XLOOPS_OP_FU)
-#undef XLOOPS_OP_FU
-}};
-
-constexpr bool
-isXloopAt(unsigned i)
-{
-    return i >= static_cast<unsigned>(Op::XLOOP_UC) &&
-           i <= static_cast<unsigned>(Op::XLOOP_ORM_DE);
-}
-
-constexpr bool
-isDataDepExitAt(unsigned i)
-{
-    return i == static_cast<unsigned>(Op::XLOOP_OM_DE) ||
-           i == static_cast<unsigned>(Op::XLOOP_ORM_DE);
-}
-
-/** Handler id of @p op; the shared-handler groups are keyed off the
- *  functional class so a new load/store/AMO/xloop opcode added to the
- *  X-macro lands in the right handler automatically. */
-constexpr OpHandler
-handlerOf(Op op)
-{
-    const unsigned i = static_cast<unsigned>(op);
-    switch (fuClasses[i]) {
-      case FuClass::Load: return OpHandler::Load;
-      case FuClass::Store: return OpHandler::Store;
-      case FuClass::Amo: return OpHandler::Amo;
-      case FuClass::Xloop:
-        return isDataDepExitAt(i) ? OpHandler::XloopDe : OpHandler::Xloop;
-      default:
-        break;
-    }
-    switch (op) {
-      case Op::ADD: return OpHandler::Add;
-      case Op::SUB: return OpHandler::Sub;
-      case Op::MUL: return OpHandler::Mul;
-      case Op::MULH: return OpHandler::Mulh;
-      case Op::DIV: return OpHandler::Div;
-      case Op::REM: return OpHandler::Rem;
-      case Op::AND: return OpHandler::And;
-      case Op::OR: return OpHandler::Or;
-      case Op::XOR: return OpHandler::Xor;
-      case Op::NOR: return OpHandler::Nor;
-      case Op::SLL: return OpHandler::Sll;
-      case Op::SRL: return OpHandler::Srl;
-      case Op::SRA: return OpHandler::Sra;
-      case Op::SLT: return OpHandler::Slt;
-      case Op::SLTU: return OpHandler::Sltu;
-      case Op::ADDI: return OpHandler::Addi;
-      case Op::ANDI: return OpHandler::Andi;
-      case Op::ORI: return OpHandler::Ori;
-      case Op::XORI: return OpHandler::Xori;
-      case Op::SLLI: return OpHandler::Slli;
-      case Op::SRLI: return OpHandler::Srli;
-      case Op::SRAI: return OpHandler::Srai;
-      case Op::SLTI: return OpHandler::Slti;
-      case Op::SLTIU: return OpHandler::Sltiu;
-      case Op::LUI: return OpHandler::Lui;
-      case Op::FADD: return OpHandler::Fadd;
-      case Op::FSUB: return OpHandler::Fsub;
-      case Op::FMUL: return OpHandler::Fmul;
-      case Op::FDIV: return OpHandler::Fdiv;
-      case Op::FMIN: return OpHandler::Fmin;
-      case Op::FMAX: return OpHandler::Fmax;
-      case Op::FLT: return OpHandler::Flt;
-      case Op::FLE: return OpHandler::Fle;
-      case Op::FEQ: return OpHandler::Feq;
-      case Op::FCVTSW: return OpHandler::Fcvtsw;
-      case Op::FCVTWS: return OpHandler::Fcvtws;
-      case Op::FENCE: return OpHandler::Fence;
-      case Op::BEQ: return OpHandler::Beq;
-      case Op::BNE: return OpHandler::Bne;
-      case Op::BLT: return OpHandler::Blt;
-      case Op::BGE: return OpHandler::Bge;
-      case Op::BLTU: return OpHandler::Bltu;
-      case Op::BGEU: return OpHandler::Bgeu;
-      case Op::JAL: return OpHandler::Jal;
-      case Op::JALR: return OpHandler::Jalr;
-      case Op::ADDIU_XI: return OpHandler::AddiuXi;
-      case Op::ADDU_XI: return OpHandler::AdduXi;
-      case Op::NOP: return OpHandler::Nop;
-      case Op::HALT: return OpHandler::Halt;
-      case Op::CSRR: return OpHandler::Csrr;
-      default: return OpHandler::NumHandlers;  // caught by static_assert
-    }
-}
-
 /** Memory access width of @p op (0 for non-memory opcodes). */
 constexpr u8
 memSizeOf(Op op)
@@ -189,22 +152,14 @@ memSizeOf(Op op)
     }
 }
 
-constexpr bool
-memSignedOf(Op op)
-{
-    return op == Op::LH || op == Op::LB;
-}
-
 constexpr OpMeta
-metaOf(unsigned i)
+metaOf(Op op, OpHandler handler)
 {
-    const Op op = static_cast<Op>(i);
-    const Format fmt = formats[i];
-    const FuClass fu = fuClasses[i];
+    const Format fmt = opTraitsTable[static_cast<unsigned>(op)].format;
+    const FuClass fu = opTraitsTable[static_cast<unsigned>(op)].fuClass;
     OpMeta m;
-    m.handler = handlerOf(op);
-    // Operand classes follow the encoding format (the same derivation
-    // Instruction::srcRegs/destReg make at run time).
+    m.handler = handler;
+    // Operand classes follow the encoding format.
     m.readsRs1 = fmt == Format::R || fmt == Format::A || fmt == Format::I ||
                  fmt == Format::S || fmt == Format::B || fmt == Format::X;
     m.readsRs2 = fmt == Format::R || fmt == Format::A || fmt == Format::S ||
@@ -220,23 +175,19 @@ metaOf(unsigned i)
                   fu == FuClass::Xloop || op == Op::HALT;
     m.usesCycle = op == Op::CSRR;
     m.memSize = memSizeOf(op);
-    m.memSigned = memSignedOf(op);
+    m.memSigned = op == Op::LH || op == Op::LB;
     return m;
-}
-
-template <unsigned... Is>
-constexpr std::array<OpMeta, numOpcodes>
-buildTable(std::integer_sequence<unsigned, Is...>)
-{
-    return {{metaOf(Is)...}};
 }
 
 } // namespace op_meta_detail
 
 /** The compile-time metadata table, indexed by opcode value. */
-constexpr std::array<OpMeta, numOpcodes> opMetaTable =
-    op_meta_detail::buildTable(
-        std::make_integer_sequence<unsigned, numOpcodes>{});
+constexpr std::array<OpMeta, numOpcodes> opMetaTable = {{
+#define XLOOPS_OP_META(name, mnem, fmt, fu, lat, handler)                \
+    op_meta_detail::metaOf(Op::name, OpHandler::handler),
+    XLOOPS_OPCODE_LIST(XLOOPS_OP_META)
+#undef XLOOPS_OP_META
+}};
 
 /** Metadata of opcode @p op. */
 constexpr const OpMeta &
@@ -247,37 +198,35 @@ opMeta(Op op)
 
 namespace op_meta_detail {
 
-// The table cannot drift from the ISA definition: every opcode must
-// map to a real handler, memory flags must agree with the functional
-// class, block termination must cover exactly the control opcodes plus
-// halt, and the load metadata must be present exactly for loads.
+// The handler column cannot drift from the functional classes: the
+// shared memory and xloop handlers serve exactly their classes, no
+// opcode reads more than the two sources Instruction::srcRegs reports,
+// and the load metadata is present exactly for loads.
 constexpr bool
 tableConsistent()
 {
     for (unsigned i = 0; i < numOpcodes; i++) {
+        const Op op = static_cast<Op>(i);
         const OpMeta &m = opMetaTable[i];
-        const FuClass fu = fuClasses[i];
-        if (m.handler == OpHandler::NumHandlers)
+        const FuClass fu = opTraitsTable[i].fuClass;
+        if ((m.handler == OpHandler::Load) != (fu == FuClass::Load) ||
+            (m.handler == OpHandler::Store) != (fu == FuClass::Store) ||
+            (m.handler == OpHandler::Amo) != (fu == FuClass::Amo))
             return false;
-        if (m.memRead != (fu == FuClass::Load || fu == FuClass::Amo))
+        if ((m.handler == OpHandler::Xloop ||
+             m.handler == OpHandler::XloopDe) != (fu == FuClass::Xloop))
             return false;
-        if (m.memWrite != (fu == FuClass::Store || fu == FuClass::Amo))
+        if ((m.handler == OpHandler::XloopDe) !=
+            (op == Op::XLOOP_OM_DE || op == Op::XLOOP_ORM_DE))
             return false;
-        if (m.isAmo != (fu == FuClass::Amo))
+        if ((m.handler == OpHandler::AddiuXi ||
+             m.handler == OpHandler::AdduXi) != (fu == FuClass::Xi))
+            return false;
+        if (m.readsRd + m.readsRs1 + m.readsRs2 > 2)
             return false;
         if ((m.memSize != 0) != (m.memRead || m.memWrite))
             return false;
         if (m.memSigned && !(fu == FuClass::Load && m.memSize < 4))
-            return false;
-        if (m.endsBlock != (fu == FuClass::Branch || fu == FuClass::Jump ||
-                            fu == FuClass::Xloop ||
-                            static_cast<Op>(i) == Op::HALT))
-            return false;
-        if ((m.handler == OpHandler::Xloop ||
-             m.handler == OpHandler::XloopDe) != isXloopAt(i))
-            return false;
-        if (m.readsRd &&
-            !(formats[i] == Format::X || formats[i] == Format::XI))
             return false;
     }
     return true;
@@ -288,9 +237,6 @@ static_assert(tableConsistent(),
 static_assert(opMeta(Op::LW).memSize == 4 && opMeta(Op::LB).memSigned &&
                   !opMeta(Op::LBU).memSigned,
               "load width/sign metadata wrong");
-static_assert(opMeta(Op::XLOOP_UC).handler == OpHandler::Xloop &&
-                  opMeta(Op::XLOOP_ORM_DE).handler == OpHandler::XloopDe,
-              "xloop handler grouping wrong");
 static_assert(opMeta(Op::HALT).endsBlock && !opMeta(Op::CSRR).endsBlock,
               "superblock termination flags wrong");
 

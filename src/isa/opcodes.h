@@ -4,14 +4,17 @@
  * (xloop.{uc,or,om,orm,ua}[.db], addiu.xi, addu.xi).
  *
  * One X-macro table keeps the mnemonic, encoding format, functional
- * class, and nominal execute latency for every opcode in one place so
- * the assembler, decoder, disassembler, and timing models can never
- * disagree.
+ * class, nominal execute latency, and semantic handler for every opcode
+ * in one place so the assembler, decoder, disassembler, executors, and
+ * timing models can never disagree.
  */
 
 #ifndef XLOOPS_ISA_OPCODES_H
 #define XLOOPS_ISA_OPCODES_H
 
+#include <array>
+
+#include "common/log.h"
 #include "common/types.h"
 
 namespace xloops {
@@ -49,104 +52,106 @@ enum class FuClass : u8
     Misc,
 };
 
-// X-macro: OP(enumerator, "mnemonic", Format, FuClass, latency)
+// X-macro: OP(enumerator, "mnemonic", Format, FuClass, latency, handler)
+// The handler column names the OpHandler (isa/op_meta.h) that carries
+// the opcode's semantics.
 #define XLOOPS_OPCODE_LIST(OP)                                   \
     /* integer register-register */                              \
-    OP(ADD,     "add",      R, Alu, 1)                           \
-    OP(SUB,     "sub",      R, Alu, 1)                           \
-    OP(MUL,     "mul",      R, Mul, 3)                           \
-    OP(MULH,    "mulh",     R, Mul, 3)                           \
-    OP(DIV,     "div",      R, Div, 12)                          \
-    OP(REM,     "rem",      R, Div, 12)                          \
-    OP(AND,     "and",      R, Alu, 1)                           \
-    OP(OR,      "or",       R, Alu, 1)                           \
-    OP(XOR,     "xor",      R, Alu, 1)                           \
-    OP(NOR,     "nor",      R, Alu, 1)                           \
-    OP(SLL,     "sll",      R, Alu, 1)                           \
-    OP(SRL,     "srl",      R, Alu, 1)                           \
-    OP(SRA,     "sra",      R, Alu, 1)                           \
-    OP(SLT,     "slt",      R, Alu, 1)                           \
-    OP(SLTU,    "sltu",     R, Alu, 1)                           \
+    OP(ADD,     "add",      R, Alu, 1, Add)                      \
+    OP(SUB,     "sub",      R, Alu, 1, Sub)                      \
+    OP(MUL,     "mul",      R, Mul, 3, Mul)                      \
+    OP(MULH,    "mulh",     R, Mul, 3, Mulh)                     \
+    OP(DIV,     "div",      R, Div, 12, Div)                     \
+    OP(REM,     "rem",      R, Div, 12, Rem)                     \
+    OP(AND,     "and",      R, Alu, 1, And)                      \
+    OP(OR,      "or",       R, Alu, 1, Or)                       \
+    OP(XOR,     "xor",      R, Alu, 1, Xor)                      \
+    OP(NOR,     "nor",      R, Alu, 1, Nor)                      \
+    OP(SLL,     "sll",      R, Alu, 1, Sll)                      \
+    OP(SRL,     "srl",      R, Alu, 1, Srl)                      \
+    OP(SRA,     "sra",      R, Alu, 1, Sra)                      \
+    OP(SLT,     "slt",      R, Alu, 1, Slt)                      \
+    OP(SLTU,    "sltu",     R, Alu, 1, Sltu)                     \
     /* integer register-immediate */                             \
-    OP(ADDI,    "addi",     I, Alu, 1)                           \
-    OP(ANDI,    "andi",     I, Alu, 1)                           \
-    OP(ORI,     "ori",      I, Alu, 1)                           \
-    OP(XORI,    "xori",     I, Alu, 1)                           \
-    OP(SLLI,    "slli",     I, Alu, 1)                           \
-    OP(SRLI,    "srli",     I, Alu, 1)                           \
-    OP(SRAI,    "srai",     I, Alu, 1)                           \
-    OP(SLTI,    "slti",     I, Alu, 1)                           \
-    OP(SLTIU,   "sltiu",    I, Alu, 1)                           \
-    OP(LUI,     "lui",      U, Alu, 1)                           \
+    OP(ADDI,    "addi",     I, Alu, 1, Addi)                     \
+    OP(ANDI,    "andi",     I, Alu, 1, Andi)                     \
+    OP(ORI,     "ori",      I, Alu, 1, Ori)                      \
+    OP(XORI,    "xori",     I, Alu, 1, Xori)                     \
+    OP(SLLI,    "slli",     I, Alu, 1, Slli)                     \
+    OP(SRLI,    "srli",     I, Alu, 1, Srli)                     \
+    OP(SRAI,    "srai",     I, Alu, 1, Srai)                     \
+    OP(SLTI,    "slti",     I, Alu, 1, Slti)                     \
+    OP(SLTIU,   "sltiu",    I, Alu, 1, Sltiu)                    \
+    OP(LUI,     "lui",      U, Alu, 1, Lui)                      \
     /* single-precision floating point in the unified regfile */ \
-    OP(FADD,    "fadd",     R, Fpu, 4)                           \
-    OP(FSUB,    "fsub",     R, Fpu, 4)                           \
-    OP(FMUL,    "fmul",     R, Fpu, 4)                           \
-    OP(FDIV,    "fdiv",     R, Fpu, 12)                          \
-    OP(FMIN,    "fmin",     R, Fpu, 4)                           \
-    OP(FMAX,    "fmax",     R, Fpu, 4)                           \
-    OP(FLT,     "flt",      R, Fpu, 4)                           \
-    OP(FLE,     "fle",      R, Fpu, 4)                           \
-    OP(FEQ,     "feq",      R, Fpu, 4)                           \
-    OP(FCVTSW,  "fcvt.s.w", R, Fpu, 4)                           \
-    OP(FCVTWS,  "fcvt.w.s", R, Fpu, 4)                           \
+    OP(FADD,    "fadd",     R, Fpu, 4, Fadd)                     \
+    OP(FSUB,    "fsub",     R, Fpu, 4, Fsub)                     \
+    OP(FMUL,    "fmul",     R, Fpu, 4, Fmul)                     \
+    OP(FDIV,    "fdiv",     R, Fpu, 12, Fdiv)                    \
+    OP(FMIN,    "fmin",     R, Fpu, 4, Fmin)                     \
+    OP(FMAX,    "fmax",     R, Fpu, 4, Fmax)                     \
+    OP(FLT,     "flt",      R, Fpu, 4, Flt)                      \
+    OP(FLE,     "fle",      R, Fpu, 4, Fle)                      \
+    OP(FEQ,     "feq",      R, Fpu, 4, Feq)                      \
+    OP(FCVTSW,  "fcvt.s.w", R, Fpu, 4, Fcvtsw)                   \
+    OP(FCVTWS,  "fcvt.w.s", R, Fpu, 4, Fcvtws)                   \
     /* memory */                                                 \
-    OP(LW,      "lw",       I, Load, 2)                          \
-    OP(LH,      "lh",       I, Load, 2)                          \
-    OP(LHU,     "lhu",      I, Load, 2)                          \
-    OP(LB,      "lb",       I, Load, 2)                          \
-    OP(LBU,     "lbu",      I, Load, 2)                          \
-    OP(SW,      "sw",       S, Store, 1)                         \
-    OP(SH,      "sh",       S, Store, 1)                         \
-    OP(SB,      "sb",       S, Store, 1)                         \
+    OP(LW,      "lw",       I, Load, 2, Load)                    \
+    OP(LH,      "lh",       I, Load, 2, Load)                    \
+    OP(LHU,     "lhu",      I, Load, 2, Load)                    \
+    OP(LB,      "lb",       I, Load, 2, Load)                    \
+    OP(LBU,     "lbu",      I, Load, 2, Load)                    \
+    OP(SW,      "sw",       S, Store, 1, Store)                  \
+    OP(SH,      "sh",       S, Store, 1, Store)                  \
+    OP(SB,      "sb",       S, Store, 1, Store)                  \
     /* atomic memory operations: rd <- M[rs1]; M[rs1] op= rs2 */ \
-    OP(AMOADD,  "amoadd",   A, Amo, 3)                           \
-    OP(AMOAND,  "amoand",   A, Amo, 3)                           \
-    OP(AMOOR,   "amoor",    A, Amo, 3)                           \
-    OP(AMOXOR,  "amoxor",   A, Amo, 3)                           \
-    OP(AMOSWAP, "amoswap",  A, Amo, 3)                           \
-    OP(AMOMIN,  "amomin",   A, Amo, 3)                           \
-    OP(AMOMAX,  "amomax",   A, Amo, 3)                           \
-    OP(FENCE,   "fence",    N, Misc, 1)                          \
+    OP(AMOADD,  "amoadd",   A, Amo, 3, Amo)                      \
+    OP(AMOAND,  "amoand",   A, Amo, 3, Amo)                      \
+    OP(AMOOR,   "amoor",    A, Amo, 3, Amo)                      \
+    OP(AMOXOR,  "amoxor",   A, Amo, 3, Amo)                      \
+    OP(AMOSWAP, "amoswap",  A, Amo, 3, Amo)                      \
+    OP(AMOMIN,  "amomin",   A, Amo, 3, Amo)                      \
+    OP(AMOMAX,  "amomax",   A, Amo, 3, Amo)                      \
+    OP(FENCE,   "fence",    N, Misc, 1, Fence)                   \
     /* control flow (no delay slots) */                          \
-    OP(BEQ,     "beq",      B, Branch, 1)                        \
-    OP(BNE,     "bne",      B, Branch, 1)                        \
-    OP(BLT,     "blt",      B, Branch, 1)                        \
-    OP(BGE,     "bge",      B, Branch, 1)                        \
-    OP(BLTU,    "bltu",     B, Branch, 1)                        \
-    OP(BGEU,    "bgeu",     B, Branch, 1)                        \
-    OP(JAL,     "jal",      J, Jump, 1)                          \
-    OP(JALR,    "jalr",     I, Jump, 1)                          \
+    OP(BEQ,     "beq",      B, Branch, 1, Beq)                   \
+    OP(BNE,     "bne",      B, Branch, 1, Bne)                   \
+    OP(BLT,     "blt",      B, Branch, 1, Blt)                   \
+    OP(BGE,     "bge",      B, Branch, 1, Bge)                   \
+    OP(BLTU,    "bltu",     B, Branch, 1, Bltu)                  \
+    OP(BGEU,    "bgeu",     B, Branch, 1, Bgeu)                  \
+    OP(JAL,     "jal",      J, Jump, 1, Jal)                     \
+    OP(JALR,    "jalr",     I, Jump, 1, Jalr)                    \
     /* XLOOPS loop instructions */                               \
-    OP(XLOOP_UC,     "xloop.uc",     X, Xloop, 1)                \
-    OP(XLOOP_OR,     "xloop.or",     X, Xloop, 1)                \
-    OP(XLOOP_OM,     "xloop.om",     X, Xloop, 1)                \
-    OP(XLOOP_ORM,    "xloop.orm",    X, Xloop, 1)                \
-    OP(XLOOP_UA,     "xloop.ua",     X, Xloop, 1)                \
-    OP(XLOOP_UC_DB,  "xloop.uc.db",  X, Xloop, 1)                \
-    OP(XLOOP_OR_DB,  "xloop.or.db",  X, Xloop, 1)                \
-    OP(XLOOP_OM_DB,  "xloop.om.db",  X, Xloop, 1)                \
-    OP(XLOOP_ORM_DB, "xloop.orm.db", X, Xloop, 1)                \
-    OP(XLOOP_UA_DB,  "xloop.ua.db",  X, Xloop, 1)                \
+    OP(XLOOP_UC,     "xloop.uc",     X, Xloop, 1, Xloop)         \
+    OP(XLOOP_OR,     "xloop.or",     X, Xloop, 1, Xloop)         \
+    OP(XLOOP_OM,     "xloop.om",     X, Xloop, 1, Xloop)         \
+    OP(XLOOP_ORM,    "xloop.orm",    X, Xloop, 1, Xloop)         \
+    OP(XLOOP_UA,     "xloop.ua",     X, Xloop, 1, Xloop)         \
+    OP(XLOOP_UC_DB,  "xloop.uc.db",  X, Xloop, 1, Xloop)         \
+    OP(XLOOP_OR_DB,  "xloop.or.db",  X, Xloop, 1, Xloop)         \
+    OP(XLOOP_OM_DB,  "xloop.om.db",  X, Xloop, 1, Xloop)         \
+    OP(XLOOP_ORM_DB, "xloop.orm.db", X, Xloop, 1, Xloop)         \
+    OP(XLOOP_UA_DB,  "xloop.ua.db",  X, Xloop, 1, Xloop)         \
     /* extension: data-dependent exit (paper future work). The      \
        second register is an exit flag, not a bound: traditional    \
        execution loops while it reads zero; specialized execution   \
        cancels buffered iterations beyond the first exiting one,    \
        which is why only the memory-ordered patterns support it. */ \
-    OP(XLOOP_OM_DE,  "xloop.om.de",  X, Xloop, 1)                 \
-    OP(XLOOP_ORM_DE, "xloop.orm.de", X, Xloop, 1)                 \
+    OP(XLOOP_OM_DE,  "xloop.om.de",  X, Xloop, 1, XloopDe)       \
+    OP(XLOOP_ORM_DE, "xloop.orm.de", X, Xloop, 1, XloopDe)       \
     /* XLOOPS cross-iteration (mutual induction variable) adds */\
-    OP(ADDIU_XI, "addiu.xi", XI, Xi, 1)                          \
-    OP(ADDU_XI,  "addu.xi",  XI, Xi, 1)                          \
+    OP(ADDIU_XI, "addiu.xi", XI, Xi, 1, AddiuXi)                 \
+    OP(ADDU_XI,  "addu.xi",  XI, Xi, 1, AdduXi)                  \
     /* misc */                                                   \
-    OP(NOP,     "nop",      N, Misc, 1)                          \
-    OP(HALT,    "halt",     N, Misc, 1)                          \
-    OP(CSRR,    "csrr",     C, Misc, 1)
+    OP(NOP,     "nop",      N, Misc, 1, Nop)                     \
+    OP(HALT,    "halt",     N, Misc, 1, Halt)                    \
+    OP(CSRR,    "csrr",     C, Misc, 1, Csrr)
 
 /** All xrisc opcodes. The numeric value is the 8-bit encoding field. */
 enum class Op : u8
 {
-#define XLOOPS_OP_ENUM(name, mnem, fmt, fu, lat) name,
+#define XLOOPS_OP_ENUM(name, mnem, fmt, fu, lat, handler) name,
     XLOOPS_OPCODE_LIST(XLOOPS_OP_ENUM)
 #undef XLOOPS_OP_ENUM
     NumOpcodes
@@ -173,8 +178,22 @@ struct OpTraits
     u8 latency;
 };
 
-/** Trait lookup for opcode @p op. */
-const OpTraits &opTraits(Op op);
+/** The traits of every opcode, indexed by opcode value. */
+constexpr std::array<OpTraits, numOpcodes> opTraitsTable = {{
+#define XLOOPS_OP_TRAITS(name, mnem, fmt, fu, lat, handler)           \
+    OpTraits{mnem, Format::fmt, FuClass::fu, lat},
+    XLOOPS_OPCODE_LIST(XLOOPS_OP_TRAITS)
+#undef XLOOPS_OP_TRAITS
+}};
+
+/** Trait lookup for opcode @p op; panics on an out-of-range value. */
+constexpr const OpTraits &
+opTraits(Op op)
+{
+    const auto idx = static_cast<unsigned>(op);
+    XL_ASSERT(idx < numOpcodes, "bad opcode ", idx);
+    return opTraitsTable[idx];
+}
 
 /** True for all xloop.* opcodes. */
 bool isXloopOp(Op op);

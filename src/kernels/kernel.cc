@@ -120,6 +120,36 @@ serializeToGpIsa(const std::string &source)
     return out.str();
 }
 
+std::string
+checkAgainstGolden(const Kernel &kernel, const Program &prog,
+                   MainMemory &mem, u64 &goldenInsts)
+{
+    // Serial golden model on an identical memory image.
+    MainMemory golden;
+    prog.loadInto(golden);
+    if (kernel.setup)
+        kernel.setup(golden, prog);
+    ThreadedExecutor exec(golden);
+    goldenInsts = exec.run(prog).dynInsts;
+
+    if (kernel.deterministic) {
+        for (const auto &[symbol, words] : kernel.outputs) {
+            const Addr base = prog.symbol(symbol);
+            for (unsigned i = 0; i < words; i++) {
+                const u32 got = mem.readWord(base + 4 * i);
+                const u32 want = golden.readWord(base + 4 * i);
+                if (got != want)
+                    return strf(kernel.name, ": ", symbol, "[", i,
+                                "] = ", got, ", serial = ", want);
+            }
+        }
+    }
+    std::string why;
+    if (kernel.check && !kernel.check(mem, prog, why))
+        return kernel.name + ": " + why;
+    return "";
+}
+
 KernelRun
 runKernel(const Kernel &kernel, const SysConfig &cfg, ExecMode mode,
           bool useGpIsaBinary, const RunHooks &hooks)
@@ -138,41 +168,9 @@ runKernel(const Kernel &kernel, const SysConfig &cfg, ExecMode mode,
                          hooks.runOptions ? *hooks.runOptions
                                           : RunOptions{});
 
-    // Serial golden model on an identical memory image. The threaded
-    // executor is bit-equivalent to the legacy switch (proven by
-    // tests/test_threaded_exec.cc and the kernel equivalence sweep) and
-    // runs the golden pass several times faster.
-    MainMemory golden;
-    prog.loadInto(golden);
-    if (kernel.setup)
-        kernel.setup(golden, prog);
-    ThreadedExecutor exec(golden);
-    run.xlDynInsts = exec.run(prog).dynInsts;
-
-    run.passed = true;
-    if (kernel.deterministic) {
-        for (const auto &[symbol, words] : kernel.outputs) {
-            const Addr base = prog.symbol(symbol);
-            for (unsigned i = 0; i < words && run.passed; i++) {
-                if (sys.memory().readWord(base + 4 * i) !=
-                    golden.readWord(base + 4 * i)) {
-                    run.passed = false;
-                    run.error = strf(kernel.name, ": ", symbol, "[", i,
-                                     "] = ",
-                                     sys.memory().readWord(base + 4 * i),
-                                     ", serial = ",
-                                     golden.readWord(base + 4 * i));
-                }
-            }
-        }
-    }
-    if (run.passed && kernel.check) {
-        std::string why;
-        if (!kernel.check(sys.memory(), prog, why)) {
-            run.passed = false;
-            run.error = kernel.name + ": " + why;
-        }
-    }
+    run.error = checkAgainstGolden(kernel, prog, sys.memory(),
+                                   run.xlDynInsts);
+    run.passed = run.error.empty();
     return run;
 }
 

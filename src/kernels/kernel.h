@@ -93,6 +93,17 @@ struct RunHooks
 };
 
 /**
+ * Validate @p mem, the final memory image of a run of @p prog, against
+ * the serial golden model: run @p prog functionally on a fresh image
+ * set up by @p kernel, compare the kernel's output regions when it is
+ * deterministic, then apply its semantic check. Returns an empty
+ * string when @p mem validates, else the first mismatch. The golden
+ * run's dynamic instruction count goes to @p goldenInsts.
+ */
+std::string checkAgainstGolden(const Kernel &kernel, const Program &prog,
+                               MainMemory &mem, u64 &goldenInsts);
+
+/**
  * Assemble, set up, run, and validate @p kernel.
  *
  * @param useGpIsaBinary run the serialized GP-ISA binary instead

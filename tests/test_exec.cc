@@ -65,6 +65,24 @@ TEST(ExecCore, DivRemSignsAndDivByZero)
     EXPECT_EQ(c.regs.get(3), static_cast<u32>(-7));
 }
 
+TEST(ExecCore, DivRemOfIntMinByMinusOne)
+{
+    // RISC-V M: the overflowing quotient is the dividend, the
+    // remainder 0 (host division would trap).
+    Ctx c;
+    c.regs.set(1, 0x80000000u);
+    c.regs.set(2, ~0u);
+    c.step({.op = Op::DIV, .rd = 3, .rs1 = 1, .rs2 = 2});
+    EXPECT_EQ(c.regs.get(3), 0x80000000u);
+    c.step({.op = Op::REM, .rd = 3, .rs1 = 1, .rs2 = 2});
+    EXPECT_EQ(c.regs.get(3), 0u);
+    c.regs.set(1, 7);  // any other dividend by -1 just negates
+    c.step({.op = Op::DIV, .rd = 3, .rs1 = 1, .rs2 = 2});
+    EXPECT_EQ(static_cast<i32>(c.regs.get(3)), -7);
+    c.step({.op = Op::REM, .rd = 3, .rs1 = 1, .rs2 = 2});
+    EXPECT_EQ(c.regs.get(3), 0u);
+}
+
 TEST(ExecCore, Shifts)
 {
     Ctx c;
@@ -268,8 +286,10 @@ TEST(ExecCore, FenceAndNopAreInert)
     EXPECT_FALSE(f.halted);
     EXPECT_FALSE(f.memAccess);
     EXPECT_EQ(f.nextPc, 0x1004u);
-    const StepResult n = c.step({.op = Op::NOP});
-    EXPECT_FALSE(n.regWritten);
+    c.regs.set(5, 0x1234);
+    const RegFile before = c.regs;
+    c.step({.op = Op::NOP});
+    EXPECT_EQ(c.regs.regs, before.regs);
 }
 
 // --- whole-program functional runs ---------------------------------------

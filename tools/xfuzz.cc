@@ -31,6 +31,7 @@
 #include "common/log.h"
 #include "common/pool.h"
 #include "common/rng.h"
+#include "common/serialize.h"
 #include "common/sim_error.h"
 #include "frontend/frontend.h"
 #include "fuzz/harness.h"
@@ -272,29 +273,25 @@ main(int argc, char **argv)
                     usageError(arg + " needs an argument");
                 return argv[++i];
             };
+            const auto nextU64 = [&] { return parseU64(next(), arg); };
             if (arg == "--seed")
-                rootSeed = std::strtoull(next().c_str(), nullptr, 0);
+                rootSeed = nextU64();
             else if (arg == "--count")
-                count = static_cast<unsigned>(
-                    std::strtoul(next().c_str(), nullptr, 10));
+                count = static_cast<unsigned>(nextU64());
             else if (arg == "--minutes")
-                minutes = static_cast<unsigned>(
-                    std::strtoul(next().c_str(), nullptr, 10));
+                minutes = static_cast<unsigned>(nextU64());
             else if (arg == "--jobs")
-                jobs = static_cast<unsigned>(
-                    std::strtoul(next().c_str(), nullptr, 10));
+                jobs = static_cast<unsigned>(nextU64());
             else if (arg == "--out")
                 outDir = next();
             else if (arg == "--config")
                 opts.configName = next();
             else if (arg == "--inject-rate")
-                opts.injectRate = std::strtod(next().c_str(), nullptr);
+                opts.injectRate = parseDouble(next(), arg);
             else if (arg == "--inject-seed")
-                opts.injectSeed =
-                    std::strtoull(next().c_str(), nullptr, 0);
+                opts.injectSeed = nextU64();
             else if (arg == "--max-insts")
-                opts.maxInsts =
-                    std::strtoull(next().c_str(), nullptr, 0);
+                opts.maxInsts = nextU64();
             else if (arg == "--replay")
                 replayPath = next();
             else if (arg == "--replay-dir")

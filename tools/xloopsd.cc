@@ -18,11 +18,11 @@
 #include <atomic>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 
 #include "common/log.h"
+#include "common/serialize.h"
 #include "common/types.h"
 #include "service/server.h"
 
@@ -99,40 +99,34 @@ main(int argc, char **argv)
                 }
                 return argv[++i];
             };
+            const auto nextU64 = [&] { return parseU64(next(), arg); };
             if (arg == "--socket")
                 cfg.socketPath = next();
             else if (arg == "--workers")
-                cfg.supervisor.workers = static_cast<unsigned>(
-                    std::strtoul(next().c_str(), nullptr, 10));
+                cfg.supervisor.workers = static_cast<unsigned>(nextU64());
             else if (arg == "--queue-depth")
-                cfg.supervisor.queueDepth =
-                    std::strtoull(next().c_str(), nullptr, 10);
+                cfg.supervisor.queueDepth = nextU64();
             else if (arg == "--artifact-dir")
                 cfg.supervisor.artifactDir = next();
             else if (arg == "--cache-index")
                 cfg.cacheIndexPath = next();
             else if (arg == "--cache-entries")
-                cfg.supervisor.cacheEntries =
-                    std::strtoull(next().c_str(), nullptr, 10);
+                cfg.supervisor.cacheEntries = nextU64();
             else if (arg == "--journal")
                 cfg.supervisor.journalPath = next();
             else if (arg == "--no-recover")
                 cfg.supervisor.recover = false;
             else if (arg == "--ckpt-every-insts")
-                cfg.supervisor.checkpointEveryInsts =
-                    std::strtoull(next().c_str(), nullptr, 10);
+                cfg.supervisor.checkpointEveryInsts = nextU64();
             else if (arg == "--max-retries")
                 cfg.supervisor.retry.maxRetries =
-                    static_cast<unsigned>(
-                        std::strtoul(next().c_str(), nullptr, 10));
+                    static_cast<unsigned>(nextU64());
             else if (arg == "--deadline-ms")
-                cfg.supervisor.defaultDeadlineMs =
-                    std::strtoull(next().c_str(), nullptr, 10);
+                cfg.supervisor.defaultDeadlineMs = nextU64();
             else if (arg == "--metrics-log")
                 cfg.metricsLogPath = next();
             else if (arg == "--metrics-interval-ms")
-                cfg.metricsIntervalMs =
-                    std::strtoull(next().c_str(), nullptr, 10);
+                cfg.metricsIntervalMs = nextU64();
             else if (arg == "--flight-dump")
                 cfg.flightDumpPath = next();
             else if (arg == "--trace")

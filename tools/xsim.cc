@@ -47,7 +47,6 @@
 #include "common/trace.h"
 #include "energy/energy.h"
 #include "kernels/kernel.h"
-#include "cpu/threaded.h"
 #include "system/capsule.h"
 #include "system/report.h"
 #include "system/sampling.h"
@@ -362,35 +361,13 @@ main(int argc, char **argv)
             if (kernel) {
                 // Validate against the serial golden model exactly as
                 // a full run would.
-                MainMemory golden;
-                prog.loadInto(golden);
-                if (kernel->setup)
-                    kernel->setup(golden, prog);
-                ThreadedExecutor goldenExec(golden);
-                goldenExec.run(prog);
-                bool passed = true;
-                std::string why;
-                if (kernel->deterministic) {
-                    for (const auto &[symbol, words] : kernel->outputs) {
-                        const Addr base = prog.symbol(symbol);
-                        for (unsigned i = 0; i < words && passed; i++) {
-                            if (samp.memory().readWord(base + 4 * i) !=
-                                golden.readWord(base + 4 * i)) {
-                                passed = false;
-                                why = strf(symbol, "[", i,
-                                           "] diverged from the serial "
-                                           "golden run");
-                            }
-                        }
-                    }
-                }
-                if (passed && kernel->check &&
-                    !kernel->check(samp.memory(), prog, why))
-                    passed = false;
+                u64 goldenInsts = 0;
+                const std::string why = checkAgainstGolden(
+                    *kernel, prog, samp.memory(), goldenInsts);
                 std::printf("sampled kernel %s on %s mode T: %s\n",
                             spec.kernel.c_str(), sampleCfg.name.c_str(),
-                            passed ? "VALIDATED" : why.c_str());
-                if (!passed)
+                            why.empty() ? "VALIDATED" : why.c_str());
+                if (!why.empty())
                     checkerExit = 2;
             }
 
