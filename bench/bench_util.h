@@ -15,7 +15,9 @@
 #include <string>
 #include <vector>
 
+#include "common/cli.h"
 #include "common/json.h"
+#include "common/log.h"
 #include "common/pool.h"
 #include "energy/energy.h"
 #include "kernels/kernel.h"
@@ -33,15 +35,19 @@ inline unsigned
 parseJobs(int argc, char **argv)
 {
     unsigned jobs = 0;  // 0 = defaultJobs()
-    for (int i = 1; i < argc; i++) {
-        const std::string arg = argv[i];
-        if (arg == "--jobs" && i + 1 < argc) {
-            jobs = static_cast<unsigned>(
-                std::strtoul(argv[++i], nullptr, 10));
-        } else {
-            std::fprintf(stderr, "usage: %s [--jobs N]\n", argv[0]);
-            std::exit(1);
-        }
+    const std::string self = argv[0];
+    const cli::Command cmd{
+        self.substr(self.find_last_of('/') + 1),
+        "[options]",
+        {cli::option("--jobs", "<n>",
+                     "worker threads (default: XLOOPS_JOBS or the hardware "
+                     "concurrency)",
+                     jobs)}};
+    try {
+        cli::parseCommandLine(cmd, argc, argv);
+    } catch (const FatalError &err) {
+        std::fprintf(stderr, "%s\n", err.what());
+        std::exit(1);
     }
     return jobs;
 }

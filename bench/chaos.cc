@@ -44,6 +44,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include "common/cli.h"
 #include "common/json.h"
 #include "common/log.h"
 #include "service/client.h"
@@ -245,99 +246,46 @@ mkdirOrDie(const std::string &dir)
         failOut(strf("mkdir ", dir, ": ", std::strerror(errno)));
 }
 
-void
-printUsage(std::FILE *out)
-{
-    std::fprintf(
-        out,
-        "usage: chaos --xloopsd <bin> --workdir <dir> [options]\n"
-        "  --cycles <n>           kill -9 / restart rounds (default "
-        "5)\n"
-        "  --kill-after-ms <n>    load time before each kill (default "
-        "700)\n"
-        "  --clients <n>          concurrent submitters (default 3)\n"
-        "  --kernels <k1,k2>      kernels in the job matrix\n"
-        "  --seeds <n>            fault-seed variants per kernel "
-        "(default 4)\n"
-        "  --inject-seed <n>      base fault seed (default 1)\n"
-        "  --inject-rate <p>      per-opportunity fault probability\n"
-        "  --ckpt-every-insts <n> daemon checkpoint cadence (default "
-        "4096)\n"
-        "  --verbose              per-cycle chatter\n");
-}
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
     Options opts;
+    const cli::Command cmd{
+        "chaos",
+        "--xloopsd <bin> --workdir <dir> [options]",
+        {
+            cli::option("--xloopsd", "<bin>", "daemon binary (required)",
+                        opts.xloopsd),
+            cli::option("--workdir", "<dir>", "scratch root (required)",
+                        opts.workdir),
+            cli::option("--cycles", "<n>",
+                        "kill -9 / restart rounds (default 5)", opts.cycles),
+            cli::option("--kill-after-ms", "<n>",
+                        "load time before each kill (default 700)",
+                        opts.killAfterMs),
+            cli::option("--clients", "<n>",
+                        "concurrent submitters (default 3)", opts.clients),
+            cli::option("--kernels", "<k1,k2>",
+                        "kernels in the job matrix", opts.kernels),
+            cli::option("--seeds", "<n>",
+                        "fault-seed variants per kernel (default 4)",
+                        opts.seeds),
+            cli::option("--inject-seed", "<n>", "base fault seed (default 1)",
+                        opts.injectSeed),
+            cli::option("--inject-rate", "<p>",
+                        "per-opportunity fault probability",
+                        opts.injectRate),
+            cli::option("--ckpt-every-insts", "<n>",
+                        "daemon checkpoint cadence (default 4096)",
+                        opts.ckptEveryInsts),
+            cli::toggle("--verbose", "per-cycle chatter", opts.verbose),
+        }};
     try {
-        for (int i = 1; i < argc; i++) {
-            const std::string arg = argv[i];
-            auto next = [&]() -> std::string {
-                if (i + 1 >= argc) {
-                    printUsage(stderr);
-                    fatal(arg + " needs an argument");
-                }
-                return argv[++i];
-            };
-            if (arg == "--xloopsd")
-                opts.xloopsd = next();
-            else if (arg == "--workdir")
-                opts.workdir = next();
-            else if (arg == "--cycles")
-                opts.cycles = static_cast<unsigned>(
-                    std::strtoul(next().c_str(), nullptr, 10));
-            else if (arg == "--kill-after-ms")
-                opts.killAfterMs = static_cast<unsigned>(
-                    std::strtoul(next().c_str(), nullptr, 10));
-            else if (arg == "--clients")
-                opts.clients = static_cast<unsigned>(
-                    std::strtoul(next().c_str(), nullptr, 10));
-            else if (arg == "--kernels") {
-                opts.kernels.clear();
-                std::string list = next();
-                size_t start = 0;
-                while (start <= list.size()) {
-                    const size_t comma = list.find(',', start);
-                    const std::string item = list.substr(
-                        start, comma == std::string::npos
-                                   ? std::string::npos
-                                   : comma - start);
-                    if (!item.empty())
-                        opts.kernels.push_back(item);
-                    if (comma == std::string::npos)
-                        break;
-                    start = comma + 1;
-                }
-                if (opts.kernels.empty())
-                    fatal("--kernels list is empty");
-            } else if (arg == "--seeds")
-                opts.seeds = static_cast<unsigned>(
-                    std::strtoul(next().c_str(), nullptr, 10));
-            else if (arg == "--inject-seed")
-                opts.injectSeed =
-                    std::strtoull(next().c_str(), nullptr, 0);
-            else if (arg == "--inject-rate")
-                opts.injectRate = std::strtod(next().c_str(), nullptr);
-            else if (arg == "--ckpt-every-insts")
-                opts.ckptEveryInsts =
-                    std::strtoull(next().c_str(), nullptr, 0);
-            else if (arg == "--verbose")
-                opts.verbose = true;
-            else if (arg == "--help" || arg == "-h") {
-                printUsage(stdout);
-                return 0;
-            } else {
-                printUsage(stderr);
-                fatal("unknown option '" + arg + "'");
-            }
-        }
-        if (opts.xloopsd.empty() || opts.workdir.empty()) {
-            printUsage(stderr);
-            fatal("--xloopsd and --workdir are required");
-        }
+        cli::parseCommandLine(cmd, argc, argv);
+        if (opts.xloopsd.empty() || opts.workdir.empty())
+            cli::usageError(cmd, "--xloopsd and --workdir are required");
 
         mkdirOrDie(opts.workdir);
         const std::vector<RunSpec> specs = jobMatrix(opts);

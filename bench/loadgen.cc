@@ -25,7 +25,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <mutex>
@@ -34,6 +33,7 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "common/cli.h"
 #include "common/json.h"
 #include "common/log.h"
 #include "common/metrics.h"
@@ -280,99 +280,48 @@ tallyResults(const std::vector<JobResult> &results)
     return t;
 }
 
-void
-printUsage(std::FILE *out)
-{
-    std::fprintf(
-        out,
-        "usage: loadgen [options]\n"
-        "  --socket <path>        drive a running xloopsd (default: "
-        "in-process)\n"
-        "  --clients <n>          concurrent clients (default 4)\n"
-        "  --jobs-per-client <n>  jobs per client (default 8)\n"
-        "  --kernels <k1,k2>      kernels to cycle through\n"
-        "  --inject-seed <n>      base fault seed (default 1)\n"
-        "  --inject-rate <p>      per-opportunity fault probability\n"
-        "  --divergence-frac <f>  fraction of jobs that are "
-        "guaranteed-divergence specimens\n"
-        "  --deadline-ms <n>      per-job wall-clock deadline\n"
-        "  --telemetry-overhead   interleave telemetry-off/on passes "
-        "and report the\n"
-        "                         best-of throughput delta (in-process "
-        "only)\n"
-        "  --overhead-reps <n>    passes per setting (default 3)\n"
-        "  --out <dir>            where BENCH_service.json goes "
-        "(default .)\n");
-}
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
     Options opts;
+    const cli::Command cmd{
+        "loadgen",
+        "[options]",
+        {
+            cli::option("--socket", "<path>",
+                        "drive a running xloopsd (default: in-process)",
+                        opts.socketPath),
+            cli::option("--clients", "<n>",
+                        "concurrent clients (default 4)", opts.clients),
+            cli::option("--jobs-per-client", "<n>",
+                        "jobs per client (default 8)", opts.jobsPerClient),
+            cli::option("--kernels", "<k1,k2>",
+                        "kernels to cycle through", opts.kernels),
+            cli::option("--inject-seed", "<n>", "base fault seed (default 1)",
+                        opts.injectSeed),
+            cli::option("--inject-rate", "<p>",
+                        "per-opportunity fault probability",
+                        opts.injectRate),
+            cli::option("--divergence-frac", "<f>",
+                        "fraction of jobs that are guaranteed-divergence "
+                        "specimens",
+                        opts.divergenceFrac),
+            cli::option("--deadline-ms", "<n>", "per-job wall-clock deadline",
+                        opts.deadlineMs),
+            cli::toggle("--telemetry-overhead",
+                        "interleave telemetry-off/on passes and report the "
+                        "best-of throughput delta (in-process only)",
+                        opts.telemetryOverhead),
+            cli::option("--overhead-reps", "<n>",
+                        "passes per setting (default 3)", opts.overheadReps),
+            cli::option("--out", "<dir>",
+                        "where BENCH_service.json goes (default .)",
+                        opts.outDir),
+        }};
     try {
-        for (int i = 1; i < argc; i++) {
-            const std::string arg = argv[i];
-            auto next = [&]() -> std::string {
-                if (i + 1 >= argc) {
-                    printUsage(stderr);
-                    fatal(arg + " needs an argument");
-                }
-                return argv[++i];
-            };
-            if (arg == "--socket")
-                opts.socketPath = next();
-            else if (arg == "--clients")
-                opts.clients = static_cast<unsigned>(
-                    std::strtoul(next().c_str(), nullptr, 10));
-            else if (arg == "--jobs-per-client")
-                opts.jobsPerClient = static_cast<unsigned>(
-                    std::strtoul(next().c_str(), nullptr, 10));
-            else if (arg == "--kernels") {
-                opts.kernels.clear();
-                std::string list = next();
-                size_t start = 0;
-                while (start <= list.size()) {
-                    const size_t comma = list.find(',', start);
-                    const std::string item = list.substr(
-                        start, comma == std::string::npos
-                                   ? std::string::npos
-                                   : comma - start);
-                    if (!item.empty())
-                        opts.kernels.push_back(item);
-                    if (comma == std::string::npos)
-                        break;
-                    start = comma + 1;
-                }
-                if (opts.kernels.empty())
-                    fatal("--kernels list is empty");
-            } else if (arg == "--inject-seed")
-                opts.injectSeed =
-                    std::strtoull(next().c_str(), nullptr, 0);
-            else if (arg == "--inject-rate")
-                opts.injectRate = std::strtod(next().c_str(), nullptr);
-            else if (arg == "--divergence-frac")
-                opts.divergenceFrac =
-                    std::strtod(next().c_str(), nullptr);
-            else if (arg == "--deadline-ms")
-                opts.deadlineMs =
-                    std::strtoull(next().c_str(), nullptr, 0);
-            else if (arg == "--telemetry-overhead")
-                opts.telemetryOverhead = true;
-            else if (arg == "--overhead-reps")
-                opts.overheadReps = static_cast<unsigned>(
-                    std::strtoul(next().c_str(), nullptr, 10));
-            else if (arg == "--out")
-                opts.outDir = next();
-            else if (arg == "--help" || arg == "-h") {
-                printUsage(stdout);
-                return 0;
-            } else {
-                printUsage(stderr);
-                fatal("unknown option '" + arg + "'");
-            }
-        }
+        cli::parseCommandLine(cmd, argc, argv);
 
         benchutil::BenchReport report("service");
         report.note("transport", opts.socketPath.empty()

@@ -98,199 +98,6 @@ jsonUnescape(const std::string &s)
 }
 
 // ---------------------------------------------------------------------
-// Validating recursive-descent parser (structure only, no tree).
-// ---------------------------------------------------------------------
-
-namespace {
-
-struct Parser
-{
-    const std::string &text;
-    size_t pos = 0;
-
-    void
-    skipWs()
-    {
-        while (pos < text.size() &&
-               (text[pos] == ' ' || text[pos] == '\t' ||
-                text[pos] == '\n' || text[pos] == '\r'))
-            pos++;
-    }
-
-    bool
-    literal(const char *word)
-    {
-        const size_t n = std::string(word).size();
-        if (text.compare(pos, n, word) != 0)
-            return false;
-        pos += n;
-        return true;
-    }
-
-    bool
-    string()
-    {
-        if (pos >= text.size() || text[pos] != '"')
-            return false;
-        pos++;
-        while (pos < text.size() && text[pos] != '"') {
-            if (static_cast<unsigned char>(text[pos]) < 0x20)
-                return false;  // raw control character
-            if (text[pos] == '\\') {
-                pos++;
-                if (pos >= text.size())
-                    return false;
-                const char e = text[pos];
-                if (e == 'u') {
-                    for (unsigned k = 0; k < 4; k++) {
-                        pos++;
-                        if (pos >= text.size() ||
-                            !std::isxdigit(
-                                static_cast<unsigned char>(text[pos])))
-                            return false;
-                    }
-                } else if (std::string("\"\\/bfnrt").find(e) ==
-                           std::string::npos) {
-                    return false;
-                }
-            }
-            pos++;
-        }
-        if (pos >= text.size())
-            return false;
-        pos++;  // closing quote
-        return true;
-    }
-
-    bool
-    number()
-    {
-        const size_t start = pos;
-        if (pos < text.size() && text[pos] == '-')
-            pos++;
-        size_t digits = 0;
-        while (pos < text.size() &&
-               std::isdigit(static_cast<unsigned char>(text[pos]))) {
-            pos++;
-            digits++;
-        }
-        if (digits == 0)
-            return false;
-        if (pos < text.size() && text[pos] == '.') {
-            pos++;
-            size_t frac = 0;
-            while (pos < text.size() &&
-                   std::isdigit(static_cast<unsigned char>(text[pos]))) {
-                pos++;
-                frac++;
-            }
-            if (frac == 0)
-                return false;
-        }
-        if (pos < text.size() && (text[pos] == 'e' || text[pos] == 'E')) {
-            pos++;
-            if (pos < text.size() &&
-                (text[pos] == '+' || text[pos] == '-'))
-                pos++;
-            size_t exp = 0;
-            while (pos < text.size() &&
-                   std::isdigit(static_cast<unsigned char>(text[pos]))) {
-                pos++;
-                exp++;
-            }
-            if (exp == 0)
-                return false;
-        }
-        return pos > start;
-    }
-
-    bool
-    value()
-    {
-        skipWs();
-        if (pos >= text.size())
-            return false;
-        const char c = text[pos];
-        if (c == '"')
-            return string();
-        if (c == '{') {
-            pos++;
-            skipWs();
-            if (pos < text.size() && text[pos] == '}') {
-                pos++;
-                return true;
-            }
-            while (true) {
-                skipWs();
-                if (!string())
-                    return false;
-                skipWs();
-                if (pos >= text.size() || text[pos] != ':')
-                    return false;
-                pos++;
-                if (!value())
-                    return false;
-                skipWs();
-                if (pos >= text.size())
-                    return false;
-                if (text[pos] == ',') {
-                    pos++;
-                    continue;
-                }
-                if (text[pos] == '}') {
-                    pos++;
-                    return true;
-                }
-                return false;
-            }
-        }
-        if (c == '[') {
-            pos++;
-            skipWs();
-            if (pos < text.size() && text[pos] == ']') {
-                pos++;
-                return true;
-            }
-            while (true) {
-                if (!value())
-                    return false;
-                skipWs();
-                if (pos >= text.size())
-                    return false;
-                if (text[pos] == ',') {
-                    pos++;
-                    continue;
-                }
-                if (text[pos] == ']') {
-                    pos++;
-                    return true;
-                }
-                return false;
-            }
-        }
-        if (c == 't')
-            return literal("true");
-        if (c == 'f')
-            return literal("false");
-        if (c == 'n')
-            return literal("null");
-        return number();
-    }
-};
-
-} // namespace
-
-bool
-jsonValidate(const std::string &text)
-{
-    Parser p{text};
-    if (!p.value())
-        return false;
-    p.skipWs();
-    return p.pos == text.size();
-}
-
-// ---------------------------------------------------------------------
 // JsonValue / jsonParse.
 // ---------------------------------------------------------------------
 
@@ -424,21 +231,37 @@ struct ValueParser
         pos++;
     }
 
+    /** Consume a run of decimal digits; returns how many. */
+    size_t
+    digits()
+    {
+        const size_t start = pos;
+        while (pos < text.size() &&
+               std::isdigit(static_cast<unsigned char>(text[pos])))
+            pos++;
+        return pos - start;
+    }
+
     std::string
     stringBody()
     {
         expect('"');
         const size_t start = pos;
+        bool escaped = false;
         while (pos < text.size() && text[pos] != '"') {
-            if (text[pos] == '\\')
+            if (static_cast<unsigned char>(text[pos]) < 0x20)
+                err("raw control character in string");
+            if (text[pos] == '\\') {
+                escaped = true;
                 pos++;  // skip the escaped character
+            }
             pos++;
         }
         if (pos >= text.size())
             err("unterminated string");
-        const std::string raw = text.substr(start, pos - start);
+        std::string raw = text.substr(start, pos - start);
         pos++;  // closing quote
-        return jsonUnescape(raw);
+        return escaped ? jsonUnescape(raw) : raw;
     }
 
     JsonValue
@@ -512,17 +335,26 @@ struct ValueParser
             pos += 4;
             return v;
         }
-        // Number: capture the lexeme verbatim.
+        // Number, in the RFC 8259 grammar (leading zeros tolerated):
+        // -?digits(.digits)?([eE][+-]?digits)?, its lexeme captured
+        // verbatim.
         const size_t start = pos;
-        if (peek() == '-')
+        if (text[pos] == '-')
             pos++;
-        while (pos < text.size() &&
-               (std::isdigit(static_cast<unsigned char>(text[pos])) ||
-                text[pos] == '.' || text[pos] == 'e' || text[pos] == 'E' ||
-                text[pos] == '+' || text[pos] == '-'))
+        if (digits() == 0)
+            err(pos == start ? "expected a value" : "malformed number");
+        if (pos < text.size() && text[pos] == '.') {
             pos++;
-        if (pos == start)
-            err("expected a value");
+            if (digits() == 0)
+                err("malformed number");
+        }
+        if (pos < text.size() && (text[pos] == 'e' || text[pos] == 'E')) {
+            pos++;
+            if (pos < text.size() && (text[pos] == '+' || text[pos] == '-'))
+                pos++;
+            if (digits() == 0)
+                err("malformed number");
+        }
         v.k = JsonValue::Kind::Number;
         v.text = text.substr(start, pos - start);
         return v;
@@ -538,6 +370,17 @@ jsonParse(const std::string &text)
     if (p.pos != text.size())
         p.err("trailing characters after value");
     return v;
+}
+
+bool
+jsonValidate(const std::string &text)
+{
+    try {
+        jsonParse(text);
+        return true;
+    } catch (const FatalError &) {
+        return false;
+    }
 }
 
 // ---------------------------------------------------------------------

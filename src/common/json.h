@@ -2,8 +2,9 @@
  * @file
  * Minimal JSON emission shared by every machine-readable output path
  * (`xsim --stats-json`, `xsim --trace`, the bench reporters). One
- * escaping/formatting implementation so all producers agree, plus a
- * small validating parser for tests and tools.
+ * escaping/formatting implementation so all producers agree, plus one
+ * strict parser for every document read back: requests, checkpoints,
+ * capsules, the cache index and journal records.
  */
 
 #ifndef XLOOPS_COMMON_JSON_H
@@ -25,7 +26,8 @@ std::string jsonEscape(const std::string &s);
 /** Inverse of jsonEscape (resolves \uXXXX to UTF-8). */
 std::string jsonUnescape(const std::string &s);
 
-/** True when @p text is one complete, well-formed JSON value. */
+/** True when jsonParse accepts @p text: one complete, well-formed
+ *  JSON value. */
 bool jsonValidate(const std::string &text);
 
 class JsonWriter;

@@ -7,6 +7,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
+#include <sstream>
 
 #include <fcntl.h>
 #include <unistd.h>
@@ -219,6 +221,17 @@ atomicWriteFile(const std::string &path, const std::string &text)
         ::fsync(dirFd);  // best effort: some filesystems refuse
         ::close(dirFd);
     }
+}
+
+std::string
+readFile(const std::string &path)
+{
+    std::ifstream in(path);
+    if (!in)
+        fatal("cannot open " + path);
+    std::ostringstream ss;
+    ss << in.rdbuf();
+    return ss.str();
 }
 
 } // namespace xloops

@@ -67,6 +67,10 @@ u32 crc32(const std::string &text, u32 seed = 0);
  */
 void atomicWriteFile(const std::string &path, const std::string &text);
 
+/** The whole contents of @p path; throws FatalError ("cannot open
+ *  <path>") when it cannot be read. */
+std::string readFile(const std::string &path);
+
 } // namespace xloops
 
 #endif // XLOOPS_COMMON_SERIALIZE_H

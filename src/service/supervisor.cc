@@ -3,7 +3,6 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <sstream>
 
 #include <unistd.h>
@@ -33,17 +32,6 @@ programTextHash(const std::string &source)
     for (const char c : source)
         h = mix64(h ^ static_cast<u8>(c));
     return mix64(h);
-}
-
-std::string
-readFileText(const std::string &path)
-{
-    std::ifstream in(path);
-    if (!in)
-        return "";
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    return ss.str();
 }
 
 /** Hot-path metric handles, resolved once (the registry reference is
@@ -173,7 +161,11 @@ Supervisor::recoverFromJournal()
         // file is consumed either way: its text now lives in the
         // record, and this generation checkpoints under the new id.
         const std::string oldCkpt = ckptPathFor(rj.oldJobId);
-        rec->resumeCkpt = readFileText(oldCkpt);
+        try {
+            rec->resumeCkpt = readFile(oldCkpt);
+        } catch (const FatalError &) {
+            // No checkpoint yet: the job restarts from the beginning.
+        }
         ::unlink(oldCkpt.c_str());
         if (!rec->resumeCkpt.empty())
             recoveryInfo.withCheckpoint++;
@@ -794,6 +786,7 @@ Supervisor::runJob(JobRecord &rec)
             // Crash isolation: the failure becomes a self-contained
             // replay capsule artifact, never a dead worker.
             std::string capsulePath;
+            std::string capsuleText;
             if (capCtx.valid) {
                 capsulePath =
                     strf(cfg.artifactDir, "/job-", rec.outcome.jobId,
@@ -801,6 +794,7 @@ Supervisor::runJob(JobRecord &rec)
                 try {
                     writeCapsule(capsulePath, attemptSpec, capCtx, err, "",
                                  flightRec.dumpJson(/*pretty=*/false));
+                    capsuleText = readFile(capsulePath);
                 } catch (const FatalError &werr) {
                     warn(strf("job ", rec.outcome.jobId,
                               ": capsule write failed: ",
@@ -815,7 +809,7 @@ Supervisor::runJob(JobRecord &rec)
                     simErrorKindName(err.kind());
                 if (!capsulePath.empty()) {
                     rec.outcome.capsulePath = capsulePath;
-                    rec.capsule = readFileText(capsulePath);
+                    rec.capsule = std::move(capsuleText);
                 }
             }
             finish(rec, err.kind() == SimErrorKind::Cancelled

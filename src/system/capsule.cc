@@ -144,12 +144,7 @@ replayCapsule(const std::string &path)
 {
     std::ostream &out = std::cout;
 
-    std::ifstream in(path);
-    if (!in)
-        fatal("cannot read " + path);
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    const JsonValue v = jsonParse(buf.str());
+    const JsonValue v = jsonParse(readFile(path));
 
     if (v.at("schema").asString() != capsuleSchema)
         fatal(strf("'", path, "' is not an ", capsuleSchema,

@@ -19,7 +19,6 @@
  * passes through a double.
  */
 
-#include <fstream>
 #include <sstream>
 
 #include "common/json.h"
@@ -170,19 +169,6 @@ XloopsSystem::restoreCheckpoint(const JsonValue &v, const Program &prog,
             checker->resume(rs.regs, mem, rs.pc);
         }
     }
-}
-
-void
-XloopsSystem::restoreCheckpointFile(const std::string &path,
-                                    const Program &prog, RunState &rs,
-                                    LockstepChecker *checker)
-{
-    std::ifstream in(path);
-    if (!in)
-        fatal("cannot open checkpoint " + path);
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    restoreCheckpoint(jsonParse(ss.str()), prog, rs, checker);
 }
 
 } // namespace xloops

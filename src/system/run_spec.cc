@@ -1,5 +1,6 @@
 #include "system/run_spec.h"
 
+#include "common/cli.h"
 #include "common/fault.h"
 #include "common/json.h"
 #include "common/log.h"
@@ -99,6 +100,56 @@ runSpecFromJson(const JsonValue &v)
     if (v.has("max_retries"))
         s.maxRetries = static_cast<int>(v.at("max_retries").asI64());
     return s;
+}
+
+namespace {
+
+// The two flags the post-parse step asks about.
+constexpr const char *rateFlag = "--inject-rate";
+constexpr const char *watchdogFlag = "--watchdog-cycles";
+
+} // namespace
+
+std::vector<cli::Flag>
+runSpecFlags(RunSpec &spec)
+{
+    return {
+        cli::option("-k", "<kernel>",
+                    "run a registered kernel (xsim -l lists them)",
+                    spec.kernel),
+        cli::option("-c", "<config>",
+                    "system configuration (default io+x; xsim -l lists "
+                    "them)",
+                    spec.config),
+        cli::option("-m", "<T|S|A>", "execution mode (default S)",
+                    spec.mode),
+        cli::option("--inject-seed", "<n>",
+                    "enable fault injection with RNG seed n",
+                    spec.injectSeed),
+        cli::option(rateFlag, "<p>",
+                    strf("per-opportunity fault probability (default ",
+                         defaultInjectRate, " with a seed)"),
+                    spec.injectRate),
+        cli::option("--inject-arch-rate", "<p>",
+                    "architectural hand-back corruption probability "
+                    "(needs a seed; exercises the lockstep checker)",
+                    spec.injectArchRate),
+        cli::option(watchdogFlag, "<n>",
+                    "LPSU no-commit watchdog (0 disables)",
+                    spec.watchdogCycles),
+        cli::toggle("--lockstep",
+                    "differential lockstep verification against the "
+                    "golden functional model",
+                    spec.lockstep),
+    };
+}
+
+void
+finishRunSpecFlags(RunSpec &spec, const cli::Parsed &parsed)
+{
+    spec.haveWatchdog = parsed.has(watchdogFlag);
+    if (spec.injectSeed != 0 && !parsed.has(rateFlag))
+        spec.injectRate = defaultInjectRate;
 }
 
 } // namespace xloops

@@ -10,12 +10,17 @@
  *
  * A run with no kernel is an `xsim prog.s` program-file run (or a fuzz
  * case): everything but the kernel name still applies.
+ *
+ * Its command-line spelling is declared here too, next to the
+ * "xloops-job-1" codec: runSpecFlags() is the one definition of the
+ * flags xsim and xloopsc share.
  */
 
 #ifndef XLOOPS_SYSTEM_RUN_SPEC_H
 #define XLOOPS_SYSTEM_RUN_SPEC_H
 
 #include <string>
+#include <vector>
 
 #include "common/types.h"
 #include "system/config.h"
@@ -24,6 +29,15 @@ namespace xloops {
 
 class JsonWriter;
 class JsonValue;
+
+namespace cli {
+struct Flag;
+struct Parsed;
+} // namespace cli
+
+/** The fault probability of a command-line run that names
+ *  --inject-seed without --inject-rate (docs/ROBUSTNESS.md). */
+constexpr double defaultInjectRate = 0.02;
 
 /** Everything that selects what one run simulates. */
 struct RunSpec
@@ -73,6 +87,18 @@ struct RunSpec
 
 /** Parse a "job" object; throws FatalError on malformed documents. */
 RunSpec runSpecFromJson(const JsonValue &v);
+
+/**
+ * The command-line rows that name a run: -k -c -m --inject-seed
+ * --inject-rate --inject-arch-rate --watchdog-cycles --lockstep. They
+ * write into @p spec, which must outlive the parse.
+ */
+std::vector<cli::Flag> runSpecFlags(RunSpec &spec);
+
+/** After the parse: haveWatchdog records whether --watchdog-cycles
+ *  was given, and a seed given without a rate gets
+ *  defaultInjectRate. */
+void finishRunSpecFlags(RunSpec &spec, const cli::Parsed &parsed);
 
 } // namespace xloops
 

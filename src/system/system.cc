@@ -1,7 +1,6 @@
 #include "system/system.h"
 
 #include <algorithm>
-#include <fstream>
 
 #include "common/json.h"
 #include "common/log.h"
@@ -223,8 +222,6 @@ XloopsSystem::run(const Program &prog, ExecMode mode, u64 maxInsts,
     if (!opts.restoreText.empty())
         restoreCheckpoint(jsonParse(opts.restoreText), prog, rs,
                           checker.get());
-    else if (!opts.restorePath.empty())
-        restoreCheckpointFile(opts.restorePath, prog, rs, checker.get());
 
     // Next checkpoint boundary (strictly after the restored position,
     // so a restored run never re-writes the checkpoint it came from).
@@ -304,7 +301,7 @@ XloopsSystem::run(const Program &prog, ExecMode mode, u64 maxInsts,
                 // cancellation): leave a final checkpoint at the exact
                 // stop instruction so the run is resumable, then die
                 // with the matching diagnosis.
-                if (!opts.checkpointPrefix.empty() || opts.checkpointSink)
+                if (opts.checkpointSink)
                     takeCheckpoint(prog, rs, checker.get(), opts);
                 SimErrorKind kind = SimErrorKind::Interrupted;
                 if (cause == static_cast<u32>(StopCause::Deadline))
@@ -373,14 +370,6 @@ XloopsSystem::takeCheckpoint(const Program &prog, const RunState &rs,
     if (opts.capsule) {
         opts.capsule->lastCheckpoint = lastCkptText;
         opts.capsule->lastCheckpointInst = lastCkptInst;
-    }
-    if (!opts.checkpointPrefix.empty()) {
-        const std::string path =
-            strf(opts.checkpointPrefix, "-", rs.result.gppInsts, ".json");
-        std::ofstream out(path);
-        if (!out)
-            fatal("cannot write checkpoint " + path);
-        out << lastCkptText;
     }
     if (opts.checkpointSink)
         opts.checkpointSink(rs.result.gppInsts, lastCkptText);

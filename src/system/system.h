@@ -73,24 +73,19 @@ struct RunOptions
      *  commit and xloop sync point (DivergenceError on mismatch). */
     bool lockstep = false;
 
-    /** Write a checkpoint every N committed GPP instructions
+    /** Take a checkpoint every N committed GPP instructions
      *  (0 disables). */
     u64 checkpointEvery = 0;
 
-    /** Checkpoint file prefix: files are "<prefix>-<inst>.json".
-     *  Empty keeps checkpoints in memory only (capsules / sinks). */
-    std::string checkpointPrefix;
-
-    /** Resume from this checkpoint file before executing. */
-    std::string restorePath;
-
-    /** Resume from this in-memory checkpoint document (takes
-     *  precedence over restorePath; capsule replay restores from the
-     *  embedded checkpoint without touching the filesystem). */
+    /** Resume from this checkpoint document before executing. The
+     *  library never touches the filesystem for checkpoints: callers
+     *  read the file (xsim --restore), the journal (xloopsd recovery)
+     *  or the capsule (replay). */
     std::string restoreText;
 
-    /** Observer invoked with each checkpoint's serialized text (replay
-     *  bisection holds checkpoints in memory through this). */
+    /** Receives each checkpoint's serialized text: xsim writes
+     *  "<prefix>-<inst>.json" files, xloopsd its recovery file, and
+     *  replay bisection holds checkpoints in memory. */
     std::function<void(u64 instCount, const std::string &json)>
         checkpointSink;
 
@@ -99,7 +94,7 @@ struct RunOptions
      * instruction (an LPSU-owned loop finishes its slice first, so
      * the stop lands at the next GPP commit boundary). When it
      * becomes nonzero the run takes a final checkpoint (when a
-     * checkpoint prefix or sink is configured) and throws a SimError
+     * checkpoint sink is set) and throws a SimError
      * whose kind matches the StopCause — signal handlers and the
      * service watchdog write it from other threads.
      */
@@ -173,14 +168,8 @@ class XloopsSystem
     void restoreCheckpoint(const JsonValue &v, const Program &prog,
                            RunState &rs, LockstepChecker *checker);
 
-    /** Read + parse + restore a checkpoint file. */
-    void restoreCheckpointFile(const std::string &path,
-                               const Program &prog, RunState &rs,
-                               LockstepChecker *checker);
-
     /** Take one checkpoint: remember it (also in the capsule context,
-     *  when one is set), write the file (when a prefix is configured),
-     *  feed the sink. */
+     *  when one is set) and feed the sink. */
     void takeCheckpoint(const Program &prog, const RunState &rs,
                         const LockstepChecker *checker,
                         const RunOptions &opts);

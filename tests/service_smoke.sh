@@ -5,7 +5,9 @@
 #
 #   1. daemon comes up and answers --ping
 #   2. cold submit runs a job; warm resubmit is served from the result
-#      cache and the two --stats-out files are byte-identical
+#      cache and the two --stats-out files are byte-identical; a
+#      fault-seeded job's stats are byte-identical to xsim's for the
+#      same flags (one RunSpec spelling, one inject-rate default)
 #   3. the telemetry surface: `xloopsc health` is healthy (exit 0),
 #      `xloopsc metrics` returns a valid xloops-metrics-1 snapshot
 #      whose conservation invariant check_metrics.py confirms (when
@@ -17,14 +19,15 @@
 #   5. SIGTERM drains gracefully: exit 0, cache index persisted,
 #      metrics log and flight dump written
 #
-# usage: service_smoke.sh <xloopsd> <xloopsc> <check_capsule.py|-> \
-#            [check_metrics.py|-]
+# usage: service_smoke.sh <xloopsd> <xloopsc> <xsim> \
+#            <check_capsule.py|-> [check_metrics.py|-]
 set -u
 
 XLOOPSD=$1
 XLOOPSC=$2
-CHECK_CAPSULE=$3
-CHECK_METRICS=${4:--}
+XSIM=$3
+CHECK_CAPSULE=$4
+CHECK_METRICS=${5:--}
 
 WORK=$(mktemp -d) || exit 1
 SOCK="$WORK/xloopsd.sock"
@@ -68,6 +71,18 @@ esac
 cmp -s "$WORK/cold.json" "$WORK/warm.json" \
     || fail "cached stats are not byte-identical"
 echo "service_smoke: warm hit byte-identical"
+
+# The same flags name the same run through the daemon and through
+# xsim: a seed without a rate injects at the shared default in both.
+"$XLOOPSC" --socket "$SOCK" -k dynprog-om -m S --inject-seed 7 \
+    --stats-out "$WORK/svc-seeded.json" > /dev/null \
+    || fail "seeded submit exited $?"
+"$XSIM" -k dynprog-om -m S --inject-seed 7 \
+    --stats-json "$WORK/xsim-seeded.json" > /dev/null \
+    || fail "seeded xsim run exited $?"
+cmp -s "$WORK/svc-seeded.json" "$WORK/xsim-seeded.json" \
+    || fail "xloopsc and xsim stats differ for identical flags"
+echo "service_smoke: xloopsc and xsim agree on a seeded run"
 
 # The health surface: an idle daemon is healthy (exit 0).
 health_out=$("$XLOOPSC" --socket "$SOCK" health) \

@@ -10,6 +10,7 @@
 
 #include "asm/assembler.h"
 #include "common/json.h"
+#include "common/log.h"
 #include "common/loop_profile.h"
 #include "common/sim_error.h"
 #include "common/trace.h"
@@ -111,6 +112,16 @@ TEST(Json, ValidatorRejectsMalformed)
     EXPECT_FALSE(jsonValidate("[1, 2"));
     EXPECT_FALSE(jsonValidate("{\"a\": 1} trailing"));
     EXPECT_FALSE(jsonValidate(""));
+    // Malformed numbers and a raw control character inside a string:
+    // one grammar, so jsonParse (which decodes every outside document)
+    // rejects exactly what the validator does.
+    for (const char *bad :
+         {"+5", "1.2.3", "-", "1e", "--1", "[1, 2.5.1]",
+          "{\"max_insts\": 1-2}", "\"a\tb\""}) {
+        EXPECT_FALSE(jsonValidate(bad)) << bad;
+        EXPECT_THROW(jsonParse(bad), FatalError) << bad;
+    }
+    EXPECT_TRUE(jsonValidate("[0, -0.5, 1e9, 2E-3, 1.5e+2, \"a\\tb\"]"));
 }
 
 // --------------------------------------------------------------------

@@ -5,33 +5,21 @@
  *   xas program.s              assemble, print a listing
  *   xas -d program.s           assemble, print disassembly only
  *   xas -s program.s           print the symbol table
+ *
+ * Exit codes: 0 clean, 1 user error (bad flag, missing file, bad
+ * assembly).
  */
 
 #include <cstdio>
-#include <fstream>
-#include <sstream>
 #include <string>
 
 #include "asm/assembler.h"
+#include "common/cli.h"
 #include "common/log.h"
+#include "common/serialize.h"
 #include "isa/disasm.h"
 
 using namespace xloops;
-
-namespace {
-
-std::string
-readFile(const std::string &path)
-{
-    std::ifstream in(path);
-    if (!in)
-        fatal("cannot open " + path);
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    return ss.str();
-}
-
-} // namespace
 
 int
 main(int argc, char **argv)
@@ -39,21 +27,19 @@ main(int argc, char **argv)
     bool disasmOnly = false;
     bool symbolsOnly = false;
     std::string path;
-    for (int i = 1; i < argc; i++) {
-        const std::string arg = argv[i];
-        if (arg == "-d")
-            disasmOnly = true;
-        else if (arg == "-s")
-            symbolsOnly = true;
-        else
-            path = arg;
-    }
-    if (path.empty()) {
-        std::fprintf(stderr, "usage: xas [-d|-s] program.s\n");
-        return 2;
-    }
+    cli::Command cmd{
+        "xas",
+        "[-d|-s] program.s",
+        {
+            cli::toggle("-d", "print disassembly only", disasmOnly),
+            cli::toggle("-s", "print the symbol table", symbolsOnly),
+        }};
+    cmd.positional = [&path](const std::string &arg) { path = arg; };
 
     try {
+        cli::parseCommandLine(cmd, argc, argv);
+        if (path.empty())
+            cli::usageError(cmd, "no input file given");
         const Program prog = assemble(readFile(path));
         if (symbolsOnly) {
             for (const auto &[name, addr] : prog.symbols)

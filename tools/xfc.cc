@@ -17,12 +17,11 @@
  */
 
 #include <cstdio>
-#include <cstring>
 #include <fstream>
-#include <iostream>
-#include <sstream>
 
+#include "common/cli.h"
 #include "common/log.h"
+#include "common/serialize.h"
 #include "common/sim_error.h"
 #include "frontend/frontend.h"
 #include "system/config.h"
@@ -31,41 +30,6 @@
 using namespace xloops;
 
 namespace {
-
-void
-printUsage(std::FILE *out)
-{
-    std::fprintf(out,
-                 "usage: xfc [options] program.xl\n"
-                 "  -o <file>    write the generated assembly\n"
-                 "  -c <config>  system configuration for --run "
-                 "(default io+x)\n"
-                 "  --report     print the per-loop pattern-selection "
-                 "report\n"
-                 "  --run        run traditional and specialized, "
-                 "compare all arrays\n"
-                 "  --fission    apply the loop-fission prepass\n"
-                 "  --no-lsr     disable loop strength reduction\n"
-                 "  --help       print this usage and exit\n");
-}
-
-[[noreturn]] void
-usageError(const std::string &msg)
-{
-    printUsage(stderr);
-    fatal(msg);
-}
-
-std::string
-readFile(const std::string &path)
-{
-    std::ifstream in(path);
-    if (!in)
-        fatal("cannot open " + path);
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    return ss.str();
-}
 
 /** Run @p prog in @p mode under the lockstep checker and return the
  *  final contents of every declared array. */
@@ -100,39 +64,37 @@ main(int argc, char **argv)
     bool run = false;
     FrontendOptions fopts;
 
+    cli::Command cmd{
+        "xfc",
+        "[options] program.xl",
+        {
+            cli::option("-o", "<file>", "write the generated assembly",
+                        outPath),
+            cli::option("-c", "<config>",
+                        "system configuration for --run (default io+x)",
+                        cfgName),
+            cli::toggle("--report",
+                        "print the per-loop pattern-selection report",
+                        report),
+            cli::toggle("--run",
+                        "run traditional and specialized, compare all "
+                        "arrays",
+                        run),
+            cli::toggle("--fission", "apply the loop-fission prepass",
+                        fopts.fission),
+            {"--no-lsr", "", "disable loop strength reduction",
+             [&fopts](const std::string &) { fopts.lsr = false; }},
+        }};
+    cmd.positional = [&](const std::string &arg) {
+        if (!path.empty())
+            cli::usageError(cmd, "more than one input file");
+        path = arg;
+    };
+
     try {
-        for (int i = 1; i < argc; i++) {
-            const std::string arg = argv[i];
-            auto next = [&]() -> std::string {
-                if (i + 1 >= argc)
-                    usageError(arg + " needs an argument");
-                return argv[++i];
-            };
-            if (arg == "-o")
-                outPath = next();
-            else if (arg == "-c")
-                cfgName = next();
-            else if (arg == "--report")
-                report = true;
-            else if (arg == "--run")
-                run = true;
-            else if (arg == "--fission")
-                fopts.fission = true;
-            else if (arg == "--no-lsr")
-                fopts.lsr = false;
-            else if (arg == "--help" || arg == "-h") {
-                printUsage(stdout);
-                return 0;
-            } else if (!arg.empty() && arg[0] == '-') {
-                usageError("unknown option '" + arg + "'");
-            } else if (!path.empty()) {
-                usageError("more than one input file");
-            } else {
-                path = arg;
-            }
-        }
+        cli::parseCommandLine(cmd, argc, argv);
         if (path.empty())
-            usageError("no input file given");
+            cli::usageError(cmd, "no input file given");
 
         const CompiledModule cm = compileSource(readFile(path), fopts);
 

@@ -23,15 +23,14 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <optional>
 
+#include "common/cli.h"
 #include "common/log.h"
 #include "common/pool.h"
 #include "common/rng.h"
-#include "common/serialize.h"
 #include "common/sim_error.h"
 #include "frontend/frontend.h"
 #include "fuzz/harness.h"
@@ -40,39 +39,6 @@
 using namespace xloops;
 
 namespace {
-
-void
-printUsage(std::FILE *out)
-{
-    std::fprintf(
-        out,
-        "usage: xfuzz [options]\n"
-        "  --seed <n>         root seed (default 1); program i uses "
-        "seed+i\n"
-        "  --count <n>        programs to check (default 100)\n"
-        "  --minutes <m>      run time-boxed batches instead of "
-        "--count\n"
-        "  --jobs <n>         worker threads (default: XLOOPS_JOBS or "
-        "hw)\n"
-        "  --out <dir>        repro/capsule directory (default "
-        "xfuzz-out)\n"
-        "  --config <name>    system configuration (default io+x)\n"
-        "  --inject-rate <p>  specialized-run fault rate (default "
-        "0.05)\n"
-        "  --inject-seed <n>  fixed fault seed (default: derived per "
-        "program)\n"
-        "  --max-insts <n>    per-run instruction budget\n"
-        "  --replay <file>    replay one corpus file and exit\n"
-        "  --replay-dir <dir> replay every .xl file in a directory\n"
-        "  --help             print this usage and exit\n");
-}
-
-[[noreturn]] void
-usageError(const std::string &msg)
-{
-    printUsage(stderr);
-    fatal(msg);
-}
 
 /** Everything a worker reports for one generated program. */
 struct CaseResult
@@ -265,48 +231,49 @@ main(int argc, char **argv)
     std::string replayDir;
     FuzzOptions opts;
 
+    const cli::Command cmd{
+        "xfuzz",
+        "[options]",
+        {
+            cli::option("--seed", "<n>",
+                        "root seed (default 1); program i uses seed+i",
+                        rootSeed),
+            cli::option("--count", "<n>",
+                        "programs to check (default 100)", count),
+            cli::option("--minutes", "<m>",
+                        "run time-boxed batches instead of --count",
+                        minutes),
+            cli::option("--jobs", "<n>",
+                        "worker threads (default: XLOOPS_JOBS or hw)", jobs),
+            cli::option("--out", "<dir>",
+                        "repro/capsule directory (default xfuzz-out)",
+                        outDir),
+            cli::option("--config", "<name>",
+                        "system configuration (default io+x)",
+                        opts.configName),
+            cli::option("--inject-rate", "<p>",
+                        "specialized-run fault rate (default 0.05)",
+                        opts.injectRate),
+            cli::option("--inject-seed", "<n>",
+                        "fixed fault seed (default: derived per program)",
+                        opts.injectSeed),
+            cli::option("--max-insts", "<n>", "per-run instruction budget",
+                        opts.maxInsts),
+            cli::option("--replay", "<file>",
+                        "replay one corpus file and exit", replayPath),
+            cli::option("--replay-dir", "<dir>",
+                        "replay every .xl file in a directory", replayDir),
+        },
+        "exit codes: 0 all passed, 1 user error, 2 failures found "
+        "(repros written),\n            4 simulator panic outside a "
+        "fuzz case\n"};
+
     try {
-        for (int i = 1; i < argc; i++) {
-            const std::string arg = argv[i];
-            auto next = [&]() -> std::string {
-                if (i + 1 >= argc)
-                    usageError(arg + " needs an argument");
-                return argv[++i];
-            };
-            const auto nextU64 = [&] { return parseU64(next(), arg); };
-            if (arg == "--seed")
-                rootSeed = nextU64();
-            else if (arg == "--count")
-                count = static_cast<unsigned>(nextU64());
-            else if (arg == "--minutes")
-                minutes = static_cast<unsigned>(nextU64());
-            else if (arg == "--jobs")
-                jobs = static_cast<unsigned>(nextU64());
-            else if (arg == "--out")
-                outDir = next();
-            else if (arg == "--config")
-                opts.configName = next();
-            else if (arg == "--inject-rate")
-                opts.injectRate = parseDouble(next(), arg);
-            else if (arg == "--inject-seed")
-                opts.injectSeed = nextU64();
-            else if (arg == "--max-insts")
-                opts.maxInsts = nextU64();
-            else if (arg == "--replay")
-                replayPath = next();
-            else if (arg == "--replay-dir")
-                replayDir = next();
-            else if (arg == "--help" || arg == "-h") {
-                printUsage(stdout);
-                return 0;
-            } else {
-                usageError("unknown option '" + arg + "'");
-            }
-        }
+        cli::parseCommandLine(cmd, argc, argv);
         if (!replayPath.empty() && !replayDir.empty())
-            usageError("--replay and --replay-dir are exclusive");
+            cli::usageError(cmd, "--replay and --replay-dir are exclusive");
         if (count == 0 && minutes == 0)
-            usageError("--count must be at least 1");
+            cli::usageError(cmd, "--count must be at least 1");
 
         if (!replayPath.empty())
             return replayFiles({replayPath}, opts);

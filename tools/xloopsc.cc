@@ -3,8 +3,11 @@
  * xloopsc — command-line client for the xloopsd daemon.
  *
  * Submits one job (synchronously: the response is the terminal
- * outcome) or sends a control request. The job knobs mirror `xsim`
- * so anything reproducible from the CLI is submittable as a job.
+ * outcome) or sends a control request. The job knobs are xsim's own
+ * rows (runSpecFlags in system/run_spec.h) plus the service-only
+ * --gp, --max-insts, --deadline-ms and --max-retries, so anything
+ * reproducible from the CLI is submittable as a job and means the
+ * same thing (a seed without a rate injects at the same default).
  *
  * Exit codes: 0 job done (or control ok / healthy), 1 user/connection
  * error (daemon unreachable), 2 job failed (capsule downloadable with
@@ -19,72 +22,17 @@
 #include <fstream>
 #include <string>
 
+#include "common/cli.h"
 #include "common/json.h"
 #include "common/log.h"
 #include "common/serialize.h"
 #include "service/client.h"
 #include "service/protocol.h"
+#include "system/run_spec.h"
 
 using namespace xloops;
 
 namespace {
-
-void
-printUsage(std::FILE *out)
-{
-    std::fprintf(
-        out,
-        "usage: xloopsc [metrics|health] [options]\n"
-        "  --socket <path>        daemon socket (default "
-        "xloopsd.sock)\n"
-        "  --connect-retry-ms <n> retry a refused/missing socket for "
-        "up to n ms\n"
-        "                         (default 2000; rides through daemon "
-        "restarts; 0 = fail fast)\n"
-        "control requests:\n"
-        "  --ping                 liveness probe\n"
-        "  --stats                print server counters\n"
-        "  metrics | --metrics    scrape the telemetry registry "
-        "(xloops-metrics-1)\n"
-        "  --prom                 with metrics: print the Prometheus "
-        "text exposition\n"
-        "  --metrics-out <file>   with metrics: write the JSON "
-        "snapshot\n"
-        "  health | --health      one-shot health probe (exit 0 "
-        "healthy, 5 degraded,\n"
-        "                         1 unreachable)\n"
-        "  --drain                ask the daemon to shut down "
-        "gracefully\n"
-        "  --status <id>          outcome snapshot of a job\n"
-        "  --capsule <id>         download a failed job's capsule\n"
-        "job submission (synchronous):\n"
-        "  -k <kernel>            kernel to simulate\n"
-        "  -c <config>            system configuration (default "
-        "io+x)\n"
-        "  -m <T|S|A>             execution mode (default S)\n"
-        "  --gp                   run the serialized GP-ISA binary "
-        "(mode T)\n"
-        "  --max-insts <n>        per-job instruction valve\n"
-        "  --deadline-ms <n>      per-job wall-clock deadline\n"
-        "  --inject-seed <n>      fault-injection RNG seed\n"
-        "  --inject-rate <p>      per-opportunity fault probability\n"
-        "  --inject-arch-rate <p> architectural corruption "
-        "probability\n"
-        "  --watchdog-cycles <n>  LPSU no-commit watchdog\n"
-        "  --lockstep             differential lockstep "
-        "verification\n"
-        "  --max-retries <n>      per-job retry budget (caps the "
-        "server's)\n"
-        "outputs:\n"
-        "  --stats-out <file>     write the job's stats document\n"
-        "  --capsule-out <file>   write the capsule of a failed "
-        "job\n"
-        "  --help                 print this usage and exit\n"
-        "\n"
-        "Exit codes: 0 done/ok/healthy, 1 user or connection error,\n"
-        "2 job failed, 3 job cancelled, 4 overloaded (job shed),\n"
-        "5 degraded (health: shedding or draining).\n");
-}
 
 int
 exitCodeFor(const std::string &status)
@@ -122,89 +70,96 @@ main(int argc, char **argv)
     bool promText = false;
     Request req;
     req.op = "";
-    bool haveJob = false;
+
+    // A control request is a row that only names its op.
+    const auto op = [&req](const char *name) {
+        return [&req, name](const std::string &) { req.op = name; };
+    };
+    const auto jobOp = [&req](const char *name) {
+        return [&req, name](const std::string &id) {
+            req.op = name;
+            req.jobId = parseU64(id, strf("--", name));
+        };
+    };
+    cli::Command cmd{
+        "xloopsc",
+        "[metrics|health] [options]",
+        {
+            cli::option("--socket", "<path>",
+                        "daemon socket (default xloopsd.sock)", socketPath),
+            cli::option("--connect-retry-ms", "<n>",
+                        "retry a refused/missing socket for up to n ms "
+                        "(default 2000; rides through daemon restarts; "
+                        "0 = fail fast)",
+                        connectRetryMs),
+            {"--ping", "", "control: liveness probe", op("ping")},
+            {"--stats", "", "control: print server counters", op("stats")},
+            {"--metrics", "",
+             "control (or the bare word metrics): scrape the telemetry "
+             "registry (xloops-metrics-1)",
+             op("metrics")},
+            cli::toggle("--prom",
+                        "with metrics: print the Prometheus text "
+                        "exposition",
+                        promText),
+            cli::option("--metrics-out", "<file>",
+                        "with metrics: write the JSON snapshot",
+                        metricsOut),
+            {"--health", "",
+             "control (or the bare word health): one-shot health probe "
+             "(exit 0 healthy, 5 degraded, 1 unreachable)",
+             op("health")},
+            {"--drain", "", "control: ask the daemon to shut down "
+                            "gracefully",
+             op("drain")},
+            {"--status", "<id>", "control: outcome snapshot of a job",
+             jobOp("status")},
+            {"--capsule", "<id>", "control: download a failed job's capsule",
+             jobOp("capsule")},
+        }};
+    // Job submission (synchronous): the run's own rows, then the
+    // service-only ones, then the outputs.
+    for (cli::Flag &f : runSpecFlags(req.job))
+        cmd.flags.push_back(std::move(f));
+    cmd.flags.insert(
+        cmd.flags.end(),
+        {
+            cli::toggle("--gp",
+                        "run the serialized GP-ISA binary (mode T)",
+                        req.job.gpBinary),
+            cli::option("--max-insts", "<n>", "per-job instruction valve",
+                        req.job.maxInsts),
+            cli::option("--deadline-ms", "<n>",
+                        "per-job wall-clock deadline", req.job.deadlineMs),
+            {"--max-retries", "<n>",
+             "per-job retry budget (caps the server's)",
+             [&req](const std::string &v) {
+                 req.job.maxRetries = static_cast<int>(
+                     std::min<u64>(parseU64(v, "--max-retries"), INT_MAX));
+             }},
+            cli::option("--stats-out", "<file>",
+                        "write the job's stats document", statsOut),
+            cli::option("--capsule-out", "<file>",
+                        "write the capsule of a failed job", capsuleOut),
+        });
+    cmd.epilog = "\nExit codes: 0 done/ok/healthy, 1 user or connection "
+                 "error,\n2 job failed, 3 job cancelled, 4 overloaded (job "
+                 "shed),\n5 degraded (health: shedding or draining).\n";
+    cmd.positional = [&](const std::string &word) {
+        if (word != "metrics" && word != "health")
+            cli::usageError(cmd, "unknown command '" + word + "'");
+        req.op = word;
+    };
 
     try {
-        for (int i = 1; i < argc; i++) {
-            const std::string arg = argv[i];
-            auto next = [&]() -> std::string {
-                if (i + 1 >= argc) {
-                    printUsage(stderr);
-                    fatal(arg + " needs an argument");
-                }
-                return argv[++i];
-            };
-            const auto nextU64 = [&] { return parseU64(next(), arg); };
-            const auto nextDouble = [&] { return parseDouble(next(), arg); };
-            if (arg == "--socket")
-                socketPath = next();
-            else if (arg == "--connect-retry-ms")
-                connectRetryMs = static_cast<unsigned>(nextU64());
-            else if (arg == "--ping")
-                req.op = "ping";
-            else if (arg == "--stats")
-                req.op = "stats";
-            else if (arg == "metrics" || arg == "--metrics")
-                req.op = "metrics";
-            else if (arg == "health" || arg == "--health")
-                req.op = "health";
-            else if (arg == "--prom")
-                promText = true;
-            else if (arg == "--metrics-out")
-                metricsOut = next();
-            else if (arg == "--drain")
-                req.op = "drain";
-            else if (arg == "--status") {
-                req.op = "status";
-                req.jobId = nextU64();
-            } else if (arg == "--capsule") {
-                req.op = "capsule";
-                req.jobId = nextU64();
-            } else if (arg == "-k") {
-                req.job.kernel = next();
-                haveJob = true;
-            } else if (arg == "-c")
-                req.job.config = next();
-            else if (arg == "-m")
-                req.job.mode = next();
-            else if (arg == "--gp")
-                req.job.gpBinary = true;
-            else if (arg == "--max-insts")
-                req.job.maxInsts = nextU64();
-            else if (arg == "--deadline-ms")
-                req.job.deadlineMs = nextU64();
-            else if (arg == "--inject-seed")
-                req.job.injectSeed = nextU64();
-            else if (arg == "--inject-rate")
-                req.job.injectRate = nextDouble();
-            else if (arg == "--inject-arch-rate")
-                req.job.injectArchRate = nextDouble();
-            else if (arg == "--watchdog-cycles") {
-                req.job.watchdogCycles = nextU64();
-                req.job.haveWatchdog = true;
-            } else if (arg == "--lockstep")
-                req.job.lockstep = true;
-            else if (arg == "--max-retries")
-                req.job.maxRetries = static_cast<int>(
-                    std::min<u64>(nextU64(), INT_MAX));
-            else if (arg == "--stats-out")
-                statsOut = next();
-            else if (arg == "--capsule-out")
-                capsuleOut = next();
-            else if (arg == "--help" || arg == "-h") {
-                printUsage(stdout);
-                return 0;
-            } else {
-                printUsage(stderr);
-                fatal("unknown option '" + arg + "'");
-            }
-        }
+        const cli::Parsed given = cli::parseCommandLine(cmd, argc, argv);
+        finishRunSpecFlags(req.job, given);
 
         if (req.op.empty()) {
-            if (!haveJob) {
-                printUsage(stderr);
-                fatal("nothing to do: give -k or a control request");
-            }
+            if (!given.has("-k"))
+                cli::usageError(cmd,
+                                "nothing to do: give -k or a control "
+                                "request");
             req.op = "submit";
         }
 

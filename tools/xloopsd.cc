@@ -18,12 +18,9 @@
 #include <atomic>
 #include <csignal>
 #include <cstdio>
-#include <cstring>
-#include <string>
 
+#include "common/cli.h"
 #include "common/log.h"
-#include "common/serialize.h"
-#include "common/types.h"
 #include "service/server.h"
 
 using namespace xloops;
@@ -38,107 +35,76 @@ onSignal(int)
     shutdownFlag.store(1);
 }
 
-void
-printUsage(std::FILE *out)
-{
-    std::fprintf(
-        out,
-        "usage: xloopsd [options]\n"
-        "  --socket <path>       Unix socket path (default "
-        "xloopsd.sock)\n"
-        "  --workers <n>         worker threads (default: hardware "
-        "concurrency)\n"
-        "  --queue-depth <n>     admission bound; beyond it jobs are "
-        "shed (default 64)\n"
-        "  --artifact-dir <dir>  where job capsules are written "
-        "(default .)\n"
-        "  --cache-index <file>  persist/restore the result cache "
-        "index\n"
-        "  --cache-entries <n>   result cache capacity (default "
-        "4096)\n"
-        "  --journal <file>      write-ahead job journal; acknowledged "
-        "jobs survive kill -9\n"
-        "  --no-recover          do not replay the journal at startup "
-        "(forensics)\n"
-        "  --ckpt-every-insts <n>  checkpoint attempt-0 runs every n "
-        "committed GPP insts\n"
-        "                        so recovery resumes long jobs "
-        "mid-flight (default off)\n"
-        "  --max-retries <n>     retry budget for retryable failures "
-        "(default 3)\n"
-        "  --deadline-ms <n>     default per-job wall-clock deadline "
-        "(default 30000)\n"
-        "  --metrics-log <file>  append one xloops-metrics-1 snapshot "
-        "line per interval\n"
-        "  --metrics-interval-ms <n>  metrics log cadence (default "
-        "1000)\n"
-        "  --flight-dump <file>  write the flight-recorder dump on "
-        "drain/SIGTERM\n"
-        "  --trace <file>        write per-job spans as Chrome trace "
-        "JSON on drain\n"
-        "  --help                print this usage and exit\n"
-        "\n"
-        "SIGINT/SIGTERM drain gracefully (finish running jobs,\n"
-        "persist the cache index, exit 0). Protocol reference:\n"
-        "docs/SERVICE.md.\n");
-}
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
     ServerConfig cfg;
+    SupervisorConfig &sup = cfg.supervisor;
+    const cli::Command cmd{
+        "xloopsd",
+        "[options]",
+        {
+            cli::option("--socket", "<path>",
+                        "Unix socket path (default xloopsd.sock)",
+                        cfg.socketPath),
+            cli::option("--workers", "<n>",
+                        "worker threads (default: hardware concurrency)",
+                        sup.workers),
+            cli::option("--queue-depth", "<n>",
+                        "admission bound; beyond it jobs are shed "
+                        "(default 64)",
+                        sup.queueDepth),
+            cli::option("--artifact-dir", "<dir>",
+                        "where job capsules are written (default .)",
+                        sup.artifactDir),
+            cli::option("--cache-index", "<file>",
+                        "persist/restore the result cache index",
+                        cfg.cacheIndexPath),
+            cli::option("--cache-entries", "<n>",
+                        "result cache capacity (default 4096)",
+                        sup.cacheEntries),
+            cli::option("--journal", "<file>",
+                        "write-ahead job journal; acknowledged jobs "
+                        "survive kill -9",
+                        sup.journalPath),
+            {"--no-recover", "",
+             "do not replay the journal at startup (forensics)",
+             [&sup](const std::string &) { sup.recover = false; }},
+            cli::option("--ckpt-every-insts", "<n>",
+                        "checkpoint attempt-0 runs every n committed GPP "
+                        "insts so recovery resumes long jobs mid-flight "
+                        "(default off)",
+                        sup.checkpointEveryInsts),
+            cli::option("--max-retries", "<n>",
+                        "retry budget for retryable failures (default 3)",
+                        sup.retry.maxRetries),
+            cli::option("--deadline-ms", "<n>",
+                        "default per-job wall-clock deadline (default "
+                        "30000)",
+                        sup.defaultDeadlineMs),
+            cli::option("--metrics-log", "<file>",
+                        "append one xloops-metrics-1 snapshot line per "
+                        "interval",
+                        cfg.metricsLogPath),
+            cli::option("--metrics-interval-ms", "<n>",
+                        "metrics log cadence (default 1000)",
+                        cfg.metricsIntervalMs),
+            cli::option("--flight-dump", "<file>",
+                        "write the flight-recorder dump on "
+                        "drain/SIGTERM",
+                        cfg.flightDumpPath),
+            cli::option("--trace", "<file>",
+                        "write per-job spans as Chrome trace JSON on "
+                        "drain",
+                        cfg.tracePath),
+        },
+        "\nSIGINT/SIGTERM drain gracefully (finish running jobs,\n"
+        "persist the cache index, exit 0). Protocol reference:\n"
+        "docs/SERVICE.md.\n"};
     try {
-        for (int i = 1; i < argc; i++) {
-            const std::string arg = argv[i];
-            auto next = [&]() -> std::string {
-                if (i + 1 >= argc) {
-                    printUsage(stderr);
-                    fatal(arg + " needs an argument");
-                }
-                return argv[++i];
-            };
-            const auto nextU64 = [&] { return parseU64(next(), arg); };
-            if (arg == "--socket")
-                cfg.socketPath = next();
-            else if (arg == "--workers")
-                cfg.supervisor.workers = static_cast<unsigned>(nextU64());
-            else if (arg == "--queue-depth")
-                cfg.supervisor.queueDepth = nextU64();
-            else if (arg == "--artifact-dir")
-                cfg.supervisor.artifactDir = next();
-            else if (arg == "--cache-index")
-                cfg.cacheIndexPath = next();
-            else if (arg == "--cache-entries")
-                cfg.supervisor.cacheEntries = nextU64();
-            else if (arg == "--journal")
-                cfg.supervisor.journalPath = next();
-            else if (arg == "--no-recover")
-                cfg.supervisor.recover = false;
-            else if (arg == "--ckpt-every-insts")
-                cfg.supervisor.checkpointEveryInsts = nextU64();
-            else if (arg == "--max-retries")
-                cfg.supervisor.retry.maxRetries =
-                    static_cast<unsigned>(nextU64());
-            else if (arg == "--deadline-ms")
-                cfg.supervisor.defaultDeadlineMs = nextU64();
-            else if (arg == "--metrics-log")
-                cfg.metricsLogPath = next();
-            else if (arg == "--metrics-interval-ms")
-                cfg.metricsIntervalMs = nextU64();
-            else if (arg == "--flight-dump")
-                cfg.flightDumpPath = next();
-            else if (arg == "--trace")
-                cfg.tracePath = next();
-            else if (arg == "--help" || arg == "-h") {
-                printUsage(stdout);
-                return 0;
-            } else {
-                printUsage(stderr);
-                fatal("unknown option '" + arg + "'");
-            }
-        }
+        cli::parseCommandLine(cmd, argc, argv);
 
         struct sigaction sa{};
         sa.sa_handler = onSignal;

@@ -22,149 +22,81 @@
 #include <string>
 #include <vector>
 
+#include "common/cli.h"
 #include "common/log.h"
 #include "common/pool.h"
-#include "common/serialize.h"
 #include "common/sim_error.h"
 #include "kernels/kernel.h"
+#include "system/run_spec.h"
 #include "system/sweep.h"
 
 using namespace xloops;
 
-namespace {
-
-struct Flag
-{
-    const char *name;
-    const char *arg;
-    const char *help;
-};
-
-const Flag flagTable[] = {
-    {"--kernels", "<k1,k2|all>",
-     "comma-separated kernel names, or 'all' (default) for Table II"},
-    {"--configs", "<c1,c2>",
-     "comma-separated configurations (default io+x); see xsim -l"},
-    {"--modes", "<T,S,A>", "execution modes to cross (default S)"},
-    {"--jobs", "<n>",
-     "worker threads (default: XLOOPS_JOBS or hardware concurrency)"},
-    {"--inject-seed", "<n>",
-     "root fault seed; each cell derives its own seed from it"},
-    {"--inject-rate", "<p>",
-     "per-opportunity fault probability (default 0.02 with a seed)"},
-    {"--max-insts", "<n>", "per-cell instruction valve"},
-    {"--deadline-ms", "<n>",
-     "wall-clock budget for the whole sweep (0 = none); on expiry "
-     "remaining cells are skipped and the sweep exits 6"},
-    {"--out", "<file>", "write the xloops-sweep-1 report here"},
-    {"--help", nullptr,
-     "print this usage and exit (exit codes: 0 all validated, 1 user "
-     "error, 6 failed/skipped cells)"},
-};
-
-void
-printUsage(std::FILE *out)
-{
-    std::fprintf(out, "usage: xsweep [options]\n");
-    for (const Flag &f : flagTable) {
-        std::string head = f.name;
-        if (f.arg) {
-            head += ' ';
-            head += f.arg;
-        }
-        std::fprintf(out, "  %-22s %s\n", head.c_str(), f.help);
-    }
-}
-
-std::vector<std::string>
-splitList(const std::string &s)
-{
-    std::vector<std::string> out;
-    size_t start = 0;
-    while (start <= s.size()) {
-        const size_t comma = s.find(',', start);
-        const std::string item =
-            s.substr(start, comma == std::string::npos ? std::string::npos
-                                                       : comma - start);
-        if (!item.empty())
-            out.push_back(item);
-        if (comma == std::string::npos)
-            break;
-        start = comma + 1;
-    }
-    return out;
-}
-
-} // namespace
-
 int
 main(int argc, char **argv)
 {
-    std::string kernelList = "all";
-    std::string configList = "io+x";
-    std::string modeList = "S";
+    std::vector<std::string> kernels = {"all"};
+    std::vector<std::string> configNames = {"io+x"};
+    std::vector<std::string> modeNames = {"S"};
     std::string outPath;
     SweepOptions opts;
-    double injectRate = 0.02;
-    bool haveRate = false;
+
+    const cli::Command cmd{
+        "xsweep",
+        "[options]",
+        {
+            cli::option("--kernels", "<k1,k2|all>",
+                        "comma-separated kernel names, or 'all' "
+                        "(default) for Table II",
+                        kernels),
+            cli::option("--configs", "<c1,c2>",
+                        "comma-separated configurations (default io+x); "
+                        "see xsim -l",
+                        configNames),
+            cli::option("--modes", "<T,S,A>",
+                        "execution modes to cross (default S)", modeNames),
+            cli::option("--jobs", "<n>",
+                        "worker threads (default: XLOOPS_JOBS or "
+                        "hardware concurrency)",
+                        opts.jobs),
+            cli::option("--inject-seed", "<n>",
+                        "root fault seed; each cell derives its own seed "
+                        "from it",
+                        opts.injectSeed),
+            cli::option("--inject-rate", "<p>",
+                        strf("per-opportunity fault probability (default ",
+                             defaultInjectRate, " with a seed)"),
+                        opts.injectRate),
+            cli::option("--max-insts", "<n>", "per-cell instruction valve",
+                        opts.maxInsts),
+            cli::option("--deadline-ms", "<n>",
+                        "wall-clock budget for the whole sweep (0 = "
+                        "none); on expiry remaining cells are skipped and "
+                        "the sweep exits 6",
+                        opts.deadlineMs),
+            cli::option("--out", "<file>",
+                        "write the xloops-sweep-1 report here", outPath),
+        },
+        "exit codes: 0 all validated, 1 user error, 6 failed/skipped "
+        "cells\n"};
 
     try {
-        for (int i = 1; i < argc; i++) {
-            const std::string arg = argv[i];
-            auto next = [&]() -> std::string {
-                if (i + 1 >= argc) {
-                    printUsage(stderr);
-                    fatal(arg + " needs an argument");
-                }
-                return argv[++i];
-            };
-            const auto nextU64 = [&] { return parseU64(next(), arg); };
-            if (arg == "--kernels")
-                kernelList = next();
-            else if (arg == "--configs")
-                configList = next();
-            else if (arg == "--modes")
-                modeList = next();
-            else if (arg == "--jobs")
-                opts.jobs = static_cast<unsigned>(nextU64());
-            else if (arg == "--inject-seed")
-                opts.injectSeed = nextU64();
-            else if (arg == "--inject-rate") {
-                injectRate = parseDouble(next(), arg);
-                haveRate = true;
-            } else if (arg == "--max-insts")
-                opts.maxInsts = nextU64();
-            else if (arg == "--deadline-ms")
-                opts.deadlineMs = nextU64();
-            else if (arg == "--out")
-                outPath = next();
-            else if (arg == "--help" || arg == "-h") {
-                printUsage(stdout);
-                return 0;
-            } else {
-                printUsage(stderr);
-                fatal("unknown option '" + arg + "'");
-            }
-        }
-        if (opts.injectSeed != 0 || haveRate)
-            opts.injectRate = injectRate;
+        const cli::Parsed given = cli::parseCommandLine(cmd, argc, argv);
+        if (opts.injectSeed != 0 && !given.has("--inject-rate"))
+            opts.injectRate = defaultInjectRate;
 
-        std::vector<std::string> kernels;
-        if (kernelList == "all") {
+        if (kernels == std::vector<std::string>{"all"}) {
             kernels = tableIIKernelNames();
         } else {
-            kernels = splitList(kernelList);
             for (const std::string &k : kernels)
                 kernelByName(k);  // fail fast on typos
         }
         std::vector<SysConfig> cfgs;
-        for (const std::string &c : splitList(configList))
+        for (const std::string &c : configNames)
             cfgs.push_back(configs::byName(c));
         std::vector<ExecMode> modes;
-        for (const std::string &m : splitList(modeList))
+        for (const std::string &m : modeNames)
             modes.push_back(execModeByName(m));
-        if (kernels.empty() || cfgs.empty() || modes.empty())
-            fatal("empty kernel, config, or mode list");
 
         const std::vector<SweepCell> cells =
             crossProduct(kernels, cfgs, modes);
