@@ -69,7 +69,6 @@ std::string serializeToGpIsa(const std::string &source);
 struct KernelRun
 {
     SysResult result;
-    u64 gpDynInsts = 0;      ///< dynamic instructions of the GP binary
     u64 xlDynInsts = 0;      ///< dynamic instructions of the XLOOPS
                              ///< binary under serial semantics
     bool passed = false;

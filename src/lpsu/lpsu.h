@@ -51,7 +51,6 @@ struct LpsuConfig
 {
     unsigned lanes = 4;
     unsigned ibEntries = 128;       ///< instruction buffer capacity
-    unsigned idqDepth = 4;          ///< per-lane index queue entries
     unsigned lsqLoadEntries = 8;
     unsigned lsqStoreEntries = 8;
     unsigned cibDepth = 4;          ///< cross-iteration buffer slots/CIR

@@ -36,8 +36,10 @@ ServiceClient::ServiceClient(const std::string &socketPath,
         if (fd < 0)
             fatal(strf("socket: ", std::strerror(errno)));
         if (::connect(fd, reinterpret_cast<sockaddr *>(&addr),
-                      sizeof(addr)) == 0)
+                      sizeof(addr)) == 0) {
+            reader = LineReader(fd);
             return;
+        }
         const int err = errno;
         ::close(fd);
         fd = -1;
@@ -65,40 +67,18 @@ ServiceClient::~ServiceClient()
 std::string
 ServiceClient::request(const std::string &line)
 {
-    std::string out = line;
-    out.push_back('\n');
-    size_t off = 0;
-    while (off < out.size()) {
-        // MSG_NOSIGNAL: a daemon killed mid-request must surface as
-        // EPIPE (a catchable FatalError), not a process-fatal SIGPIPE
-        // in whatever client happened to be writing.
-        const ssize_t n = ::send(fd, out.data() + off,
-                                 out.size() - off, MSG_NOSIGNAL);
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            fatal(strf("xloopsd connection lost: ",
-                       std::strerror(errno)));
-        }
-        off += static_cast<size_t>(n);
-    }
-
+    // sendLine's MSG_NOSIGNAL: a daemon killed mid-request must
+    // surface as EPIPE (a catchable FatalError), not a process-fatal
+    // SIGPIPE in whatever client happened to be writing.
+    if (!sendLine(fd, line))
+        fatal(strf("xloopsd connection lost: ", std::strerror(errno)));
     std::string response;
-    char c;
-    while (true) {
-        const ssize_t n = ::read(fd, &c, 1);
-        if (n == 0)
-            fatal("xloopsd closed the connection mid-response");
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            fatal(strf("xloopsd connection lost: ",
-                       std::strerror(errno)));
-        }
-        if (c == '\n')
-            return response;
-        response.push_back(c);
-    }
+    const bool got = reader.next(response);
+    if (reader.atEnd())
+        fatal("xloopsd closed the connection mid-response");
+    if (!got)
+        fatal(strf("xloopsd connection lost: ", std::strerror(errno)));
+    return response;
 }
 
 } // namespace xloops

@@ -2,13 +2,16 @@
  * @file
  * Minimal blocking client for the xloopsd line protocol, shared by
  * the xloopsc CLI and the load generator: connect to the Unix
- * socket, write one request line, read one response line.
+ * socket, write one request line, read one response line (framing in
+ * service/protocol.h).
  */
 
 #ifndef XLOOPS_SERVICE_CLIENT_H
 #define XLOOPS_SERVICE_CLIENT_H
 
 #include <string>
+
+#include "service/protocol.h"
 
 namespace xloops {
 
@@ -39,6 +42,7 @@ class ServiceClient
 
   private:
     int fd = -1;
+    LineReader reader;
 };
 
 } // namespace xloops

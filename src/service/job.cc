@@ -10,7 +10,6 @@ jobStatusName(JobStatus status)
       case JobStatus::Running: return "running";
       case JobStatus::Done: return "done";
       case JobStatus::Failed: return "failed";
-      case JobStatus::Shed: return "overloaded";
       case JobStatus::Cancelled: return "cancelled";
     }
     return "unknown";

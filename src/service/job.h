@@ -31,7 +31,6 @@ enum class JobStatus
     Running,    ///< on a worker (includes retry backoff waits)
     Done,       ///< validated result available
     Failed,     ///< checker failure or fatal/exhausted SimError
-    Shed,       ///< rejected by admission control (never queued)
     Cancelled,  ///< cancelled while queued (client request or drain)
 };
 
@@ -47,6 +46,7 @@ struct JobOutcome
     std::string error;          ///< failure message (empty on success)
     std::string errorKind;      ///< simErrorKindName, or "checker"
     std::string capsulePath;    ///< artifact path when the job capsuled
+    std::string capsule;        ///< that artifact's document
     Cycle cycles = 0;
     u64 gppInsts = 0;
     std::string statsJson;      ///< canonical "xloops-stats-1" document
@@ -63,7 +63,6 @@ struct JobOutcome
     terminal() const
     {
         return status == JobStatus::Done || status == JobStatus::Failed ||
-               status == JobStatus::Shed ||
                status == JobStatus::Cancelled;
     }
 };

@@ -1,7 +1,11 @@
 #include "service/protocol.h"
 
+#include <cerrno>
 #include <functional>
 #include <sstream>
+
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include "common/json.h"
 #include "common/log.h"
@@ -33,6 +37,57 @@ oneLine(const std::function<void(JsonWriter &)> &fill)
 
 } // namespace
 
+bool
+LineReader::next(std::string &line)
+{
+    size_t scanned = 0;
+    while (true) {
+        const size_t nl = pending.find('\n', scanned);
+        if (nl != std::string::npos) {
+            line.assign(pending, 0, nl);
+            pending.erase(0, nl + 1);
+            return true;
+        }
+        if (pending.size() > (64u << 20)) {
+            errno = EMSGSIZE;  // absurd line: drop the connection
+            return false;
+        }
+        scanned = pending.size();
+        char chunk[64 << 10];
+        const ssize_t n = ::read(fd, chunk, sizeof(chunk));
+        if (n < 0) {
+            if (errno == EINTR)
+                continue;
+            return false;
+        }
+        if (n == 0) {
+            ended = true;
+            line.swap(pending);
+            pending.clear();
+            return !line.empty();
+        }
+        pending.append(chunk, static_cast<size_t>(n));
+    }
+}
+
+bool
+sendLine(int fd, const std::string &line)
+{
+    const std::string out = line + '\n';
+    size_t off = 0;
+    while (off < out.size()) {
+        const ssize_t n = ::send(fd, out.data() + off,
+                                 out.size() - off, MSG_NOSIGNAL);
+        if (n < 0) {
+            if (errno == EINTR)
+                continue;
+            return false;
+        }
+        off += static_cast<size_t>(n);
+    }
+    return true;
+}
+
 Request
 parseRequest(const std::string &line)
 {
@@ -43,7 +98,7 @@ parseRequest(const std::string &line)
     req.op = v.at("op").asString();
     if (req.op == "submit") {
         req.job = runSpecFromJson(v.at("job"));
-    } else if (req.op == "status" || req.op == "capsule") {
+    } else if (req.op == "status") {
         req.jobId = v.at("id").asU64();
     } else if (req.op != "ping" && req.op != "stats" &&
                req.op != "metrics" && req.op != "health" &&
@@ -64,7 +119,7 @@ encodeRequest(const Request &req)
             w.key("job").beginObject();
             req.job.toJson(w);
             w.endObject();
-        } else if (req.op == "status" || req.op == "capsule") {
+        } else if (req.op == "status") {
             w.field("id", req.jobId);
         }
         w.endObject();
@@ -97,6 +152,8 @@ encodeOutcome(const JobOutcome &outcome)
         // byte-for-byte what the cold run wrote.
         if (!outcome.statsJson.empty())
             w.field("stats", outcome.statsJson);
+        if (!outcome.capsule.empty())
+            w.field("capsule", outcome.capsule);
         w.endObject();
     });
 }
@@ -175,17 +232,6 @@ encodeHealth(const HealthInfo &health)
         w.field("cache_entries", health.cacheEntries);
         w.field("degraded", health.degraded);
         w.field("draining", health.draining);
-        w.endObject();
-    });
-}
-
-std::string
-encodeCapsule(u64 jobId, const std::string &capsule)
-{
-    return oneLine([&](JsonWriter &w) {
-        beginResult(w, "ok");
-        w.field("id", jobId);
-        w.field("capsule", capsule);
         w.endObject();
     });
 }

@@ -10,8 +10,8 @@
  *   op "ping"    — liveness probe
  *   op "submit"  — {"job":{...RunSpec...}}; synchronous (the
  *                  response is the terminal outcome)
- *   op "status"  — {"id":N}: non-blocking outcome snapshot
- *   op "capsule" — {"id":N}: download a failed job's capsule
+ *   op "status"  — {"id":N}: non-blocking outcome snapshot of a job
+ *                  whose reply has not been sent yet
  *   op "stats"   — server counters
  *   op "metrics" — full telemetry scrape ("xloops-metrics-1" JSON +
  *                  Prometheus text exposition)
@@ -34,12 +34,45 @@
 
 namespace xloops {
 
+/**
+ * Newline framing on a connected socket, for both ends. Each read()
+ * takes whatever has arrived, up to 64 KiB; the bytes after a line
+ * wait here for the next call.
+ */
+class LineReader
+{
+  public:
+    explicit LineReader(int fd = -1) : fd(fd) {}
+
+    /**
+     * Move the next line, without its '\n', into @p line. At end of
+     * stream an unterminated rest still counts as a line, and atEnd()
+     * turns true. False at end of stream with nothing left, on a read
+     * error (errno says which), or when 64 MiB arrive without a '\n'
+     * (errno EMSGSIZE).
+     */
+    bool next(std::string &line);
+
+    /** The peer has closed its end. */
+    bool atEnd() const { return ended; }
+
+  private:
+    int fd;
+    std::string pending;  ///< read, not yet handed out
+    bool ended = false;
+};
+
+/** Send @p line and its '\n' in full; false on an error (errno says
+ *  which). MSG_NOSIGNAL: a peer that went away is an error, not a
+ *  process-fatal SIGPIPE. */
+bool sendLine(int fd, const std::string &line);
+
 /** A decoded request line. */
 struct Request
 {
     std::string op;
     RunSpec job;      ///< meaningful when op == "submit"
-    u64 jobId = 0;    ///< meaningful for status / capsule
+    u64 jobId = 0;    ///< meaningful for status
 };
 
 /** Parse one request line; throws FatalError on malformed input
@@ -50,8 +83,8 @@ Request parseRequest(const std::string &line);
 std::string encodeRequest(const Request &req);
 
 /** One-line "xloops-result-1" for a job outcome. The stats document
- *  is embedded verbatim under "stats" (parsed, so the line stays
- *  well-formed JSON; re-serialization is byte-stable). */
+ *  and a failure's capsule document are embedded verbatim, as escaped
+ *  strings, under "stats" and "capsule". */
 std::string encodeOutcome(const JobOutcome &outcome);
 
 /** "overloaded" response (admission control shed the job). */
@@ -74,9 +107,6 @@ std::string encodeMetrics(const std::string &metricsJson,
 
 /** "ok" response carrying a health probe. */
 std::string encodeHealth(const HealthInfo &health);
-
-/** "ok" response carrying a capsule document (escaped string). */
-std::string encodeCapsule(u64 jobId, const std::string &capsule);
 
 } // namespace xloops
 

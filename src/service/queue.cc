@@ -41,7 +41,7 @@ BoundedJobQueue::pop(u64 &jobId)
     std::unique_lock<std::mutex> lock(m);
     cv.wait(lock, [&] { return closedFlag || !jobs.empty(); });
     if (jobs.empty())
-        return false;  // closed and drained
+        return false;  // closed
     jobId = jobs.front();
     jobs.pop_front();
     return true;
@@ -58,14 +58,18 @@ BoundedJobQueue::remove(u64 jobId)
     return true;
 }
 
-void
+std::vector<u64>
 BoundedJobQueue::close()
 {
+    std::vector<u64> backlog;
     {
         std::lock_guard<std::mutex> lock(m);
         closedFlag = true;
+        backlog.assign(jobs.begin(), jobs.end());
+        jobs.clear();
     }
     cv.notify_all();
+    return backlog;
 }
 
 size_t

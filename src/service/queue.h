@@ -7,8 +7,9 @@
  * buffering unboundedly (a full queue means the workers are already
  * saturated for longer than any client should wait; queueing deeper
  * only converts overload into timeout storms). close() is the drain
- * half: after it, pushes are refused and pops return false once the
- * backlog is empty, so worker threads exit deterministically.
+ * half: it hands the backlog back to the caller, and after it pushes
+ * are refused and pops return false, so worker threads exit
+ * deterministically.
  */
 
 #ifndef XLOOPS_SERVICE_QUEUE_H
@@ -17,6 +18,7 @@
 #include <condition_variable>
 #include <deque>
 #include <mutex>
+#include <vector>
 
 #include "common/types.h"
 
@@ -38,16 +40,18 @@ class BoundedJobQueue
      *  backpressure). False only when closed. */
     bool forcePush(u64 jobId);
 
-    /** Block for the next job; false when closed and drained (the
-     *  calling worker should exit). */
+    /** Block for the next job; false when closed (the calling worker
+     *  should exit). */
     bool pop(u64 &jobId);
 
     /** Remove a queued job before a worker claims it (cancellation);
      *  false when it already left the queue. */
     bool remove(u64 jobId);
 
-    /** Refuse new pushes and wake all poppers. Idempotent. */
-    void close();
+    /** Refuse new pushes, wake all poppers, and return the jobs still
+     *  queued, oldest first: no worker will ever claim them. A second
+     *  call returns nothing. */
+    std::vector<u64> close();
 
     size_t depth() const;
     bool isClosed() const;

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <map>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -22,46 +23,6 @@
 namespace xloops {
 
 namespace {
-
-/** Read up to the next '\n' (exclusive); false on EOF/error. */
-bool
-readLine(int fd, std::string &line)
-{
-    line.clear();
-    char c;
-    while (true) {
-        const ssize_t n = ::read(fd, &c, 1);
-        if (n == 0)
-            return !line.empty();
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            return false;
-        }
-        if (c == '\n')
-            return true;
-        line.push_back(c);
-        if (line.size() > (64u << 20))
-            return false;  // absurd line: drop the connection
-    }
-}
-
-bool
-writeAll(int fd, const std::string &text)
-{
-    size_t off = 0;
-    while (off < text.size()) {
-        const ssize_t n =
-            ::write(fd, text.data() + off, text.size() - off);
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            return false;
-        }
-        off += static_cast<size_t>(n);
-    }
-    return true;
-}
 
 /** Wire metric handles, resolved once. */
 struct WireMetrics
@@ -122,13 +83,6 @@ handleRequest(Supervisor &sup, const std::string &line,
         }
         if (req.op == "status")
             return encodeOutcome(sup.status(req.jobId));
-        if (req.op == "capsule") {
-            const std::string text = sup.capsuleText(req.jobId);
-            if (text.empty())
-                return encodeError(
-                    strf("job ", req.jobId, " has no capsule"));
-            return encodeCapsule(req.jobId, text);
-        }
 
         // submit: synchronous — the response is the terminal outcome.
         const Admission adm = sup.submit(req.job);
@@ -202,9 +156,23 @@ runServer(const ServerConfig &cfg, const std::atomic<u32> &shutdownFlag)
                  cfg.socketPath.c_str());
 
     std::atomic<bool> drainRequested{false};
-    std::vector<std::thread> connections;
-    std::vector<int> connFds;
+
+    // One thread per live connection. When its client leaves, the
+    // thread closes its fd and parks itself in `departed` for the
+    // accept loop to join, so fds and threads track live clients.
     std::mutex connMutex;
+    std::condition_variable connLeft;
+    std::map<int, std::thread> live;    // by fd; guarded by connMutex
+    std::vector<std::thread> departed;  // finished, not yet joined
+    const auto reap = [&] {
+        std::vector<std::thread> done;
+        {
+            std::lock_guard<std::mutex> lock(connMutex);
+            done.swap(departed);
+        }
+        for (std::thread &t : done)
+            t.join();
+    };
 
     // Periodic metrics log: one compact "xloops-metrics-1" line per
     // interval, so a misbehaving daemon leaves a trend to post-mortem
@@ -240,6 +208,7 @@ runServer(const ServerConfig &cfg, const std::atomic<u32> &shutdownFlag)
     // Accept with a poll timeout so shutdown requests (signal or
     // protocol "drain") are noticed within ~200ms even when idle.
     while (shutdownFlag.load() == 0 && !drainRequested.load()) {
+        reap();
         pollfd pfd{listenFd, POLLIN, 0};
         const int ready = ::poll(&pfd, 1, 200);
         if (ready < 0 && errno != EINTR)
@@ -250,29 +219,34 @@ runServer(const ServerConfig &cfg, const std::atomic<u32> &shutdownFlag)
         if (connFd < 0)
             continue;
         wireMetrics().connections.inc();
+        // Join the departed first: the new thread then reuses their
+        // stack and malloc arena instead of adding its own.
+        reap();
         std::lock_guard<std::mutex> lock(connMutex);
-        connFds.push_back(connFd);
-        connections.emplace_back([connFd, &sup, &drainRequested,
-                                  &shutdownFlag] {
+        live.emplace(connFd, std::thread([&, connFd] {
+            LineReader reader(connFd);
             std::string line;
-            while (readLine(connFd, line)) {
+            while (reader.next(line)) {
                 if (line.empty())
                     continue;
                 wireMetrics().bytesIn.inc(line.size() + 1);
                 const std::string response =
                     handleRequest(sup, line, drainRequested);
-                if (!writeAll(connFd, response + "\n"))
+                if (!sendLine(connFd, response))
                     break;
                 wireMetrics().bytesOut.inc(response.size() + 1);
                 if (drainRequested.load() || shutdownFlag.load())
                     break;
             }
-            // The fd is shut down (not closed) here so the main
-            // thread can still safely shut it down during drain
-            // without an fd-reuse race; it closes everything after
-            // the join.
-            ::shutdown(connFd, SHUT_RDWR);
-        });
+            // Closed under connMutex, so drain never shuts down a
+            // reused fd.
+            std::lock_guard<std::mutex> lock(connMutex);
+            ::close(connFd);
+            const auto it = live.find(connFd);
+            departed.push_back(std::move(it->second));
+            live.erase(it);
+            connLeft.notify_all();
+        }));
     }
 
     // Graceful drain: no new connections, no new jobs; jobs already
@@ -282,15 +256,14 @@ runServer(const ServerConfig &cfg, const std::atomic<u32> &shutdownFlag)
     ::close(listenFd);
     sup.drain();  // in-flight submits resolve; waiters respond
     {
-        std::lock_guard<std::mutex> lock(connMutex);
-        // Unblock connections idling in read() with no request.
-        for (const int fd : connFds)
+        // Unblock connections idling in read() with no request, and
+        // wait for every live one to leave.
+        std::unique_lock<std::mutex> lock(connMutex);
+        for (const auto &[fd, thread] : live)
             ::shutdown(fd, SHUT_RDWR);
-        for (std::thread &t : connections)
-            t.join();
-        for (const int fd : connFds)
-            ::close(fd);
+        connLeft.wait(lock, [&] { return live.empty(); });
     }
+    reap();
     if (!cfg.cacheIndexPath.empty()) {
         try {
             sup.cache().saveIndex(cfg.cacheIndexPath);

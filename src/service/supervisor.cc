@@ -111,9 +111,7 @@ Supervisor::~Supervisor()
 std::string
 Supervisor::ckptPathFor(u64 jobId) const
 {
-    const std::string &dir =
-        cfg.checkpointDir.empty() ? cfg.artifactDir : cfg.checkpointDir;
-    return strf(dir, "/job-", jobId, ".ckpt.json");
+    return strf(cfg.artifactDir, "/job-", jobId, ".ckpt.json");
 }
 
 void
@@ -191,11 +189,8 @@ Supervisor::recoverFromJournal()
         // An acknowledged job is never shed, even into a full queue —
         // it still occupies depth, so fresh traffic feels the
         // backpressure instead.
-        if (!queue.forcePush(id)) {
-            std::lock_guard<std::mutex> lock(m);
-            raw->outcome.status = JobStatus::Cancelled;
-            counters.cancelled++;
-        }
+        if (!queue.forcePush(id))
+            finish(*raw, JobStatus::Cancelled, "queue closed");
         recoveryInfo.recovered++;
     }
 
@@ -222,18 +217,10 @@ Supervisor::submit(const RunSpec &spec)
         return adm;
     }
 
-    auto rec = std::make_unique<JobRecord>();
-    rec->spec = spec;
-    rec->admittedUs = monotonicUs();
+    const u64 admittedUs = monotonicUs();
     const u64 id = nextJobId.fetch_add(1);
-    rec->outcome.jobId = id;
     adm.jobId = id;
 
-    JobRecord *raw = rec.get();
-    {
-        std::lock_guard<std::mutex> lock(m);
-        jobs.emplace(id, std::move(rec));
-    }
     // Record admission before the push: once the id is in the queue a
     // worker may start it, and the flight ring must show admitted
     // before started. A shed job reads "admitted then shed".
@@ -245,15 +232,26 @@ Supervisor::submit(const RunSpec &spec)
     if (journal)
         journal->append(JournalEvent::Accepted, id, "", 0, &spec,
                         /*sync=*/true);
-    if (!queue.tryPush(id)) {
-        // Never queued: the workers are saturated and the backlog is
-        // already as deep as we are willing to make a client wait.
-        {
-            std::lock_guard<std::mutex> lock(m);
-            raw->outcome.status = JobStatus::Shed;
+    {
+        // The record exists exactly when the id is queued: a worker
+        // that pops the id looks it up under m, so it waits for the
+        // insert below.
+        std::lock_guard<std::mutex> lock(m);
+        if (queue.tryPush(id)) {
+            auto rec = std::make_unique<JobRecord>();
+            rec->spec = spec;
+            rec->admittedUs = admittedUs;
+            rec->outcome.jobId = id;
+            jobs.emplace(id, std::move(rec));
+            counters.submitted++;
+            adm.accepted = true;
+        } else {
             counters.shed++;
         }
-        terminalCv.notify_all();
+    }
+    if (!adm.accepted) {
+        // Never queued: the workers are saturated and the backlog is
+        // already as deep as we are willing to make a client wait.
         adm.reason = "overloaded";
         flightRec.record(FlightKind::JobShed, id, "queue full");
         if (journal)
@@ -262,76 +260,63 @@ Supervisor::submit(const RunSpec &spec)
         emitSpan(TraceKind::JobAdmit, 0, id, /*shed=*/1);
         return adm;
     }
-    {
-        std::lock_guard<std::mutex> lock(m);
-        counters.submitted++;
-    }
-    adm.accepted = true;
     emitSpan(TraceKind::JobAdmit, 0, id, 0);
     return adm;
-}
-
-Supervisor::JobRecord &
-Supervisor::recordFor(u64 jobId) const
-{
-    std::lock_guard<std::mutex> lock(m);
-    const auto it = jobs.find(jobId);
-    if (it == jobs.end())
-        fatal(strf("unknown job id ", jobId));
-    return *it->second;
 }
 
 JobOutcome
 Supervisor::wait(u64 jobId)
 {
-    JobRecord &rec = recordFor(jobId);
     std::unique_lock<std::mutex> lock(m);
-    terminalCv.wait(lock, [&] { return rec.outcome.terminal(); });
-    return rec.outcome;
+    // Look the record up on every wake: another waiter on the same id
+    // may have taken it.
+    auto it = jobs.end();
+    terminalCv.wait(lock, [&] {
+        it = jobs.find(jobId);
+        return it == jobs.end() || it->second->outcome.terminal();
+    });
+    if (it == jobs.end())
+        fatal(strf("unknown job id ", jobId));
+    JobOutcome outcome = std::move(it->second->outcome);
+    jobs.erase(it);
+    return outcome;
 }
 
 JobOutcome
 Supervisor::status(u64 jobId) const
 {
-    JobRecord &rec = recordFor(jobId);
     std::lock_guard<std::mutex> lock(m);
-    return rec.outcome;
+    const auto it = jobs.find(jobId);
+    if (it == jobs.end())
+        fatal(strf("unknown job id ", jobId));
+    return it->second->outcome;
 }
 
 bool
 Supervisor::cancel(u64 jobId)
 {
-    JobRecord &rec = recordFor(jobId);
+    JobRecord *queued = nullptr;
     {
-        std::unique_lock<std::mutex> lock(m);
-        if (rec.outcome.terminal())
+        std::lock_guard<std::mutex> lock(m);
+        const auto it = jobs.find(jobId);
+        if (it == jobs.end() || it->second->outcome.terminal())
             return false;
+        JobRecord &rec = *it->second;
         if (rec.outcome.status == JobStatus::Queued &&
             queue.remove(jobId)) {
-            rec.outcome.status = JobStatus::Cancelled;
-            counters.cancelled++;
-            lock.unlock();
-            if (journal)
-                journal->append(JournalEvent::Cancelled, jobId,
-                                "cancelled while queued", 0, nullptr,
-                                /*sync=*/true);
-            terminalCv.notify_all();
-            return true;
+            queued = &rec;  // off the queue: no worker can claim it
+        } else {
+            // Already on (or headed to) a worker: raise the
+            // cooperative stop; the run dies with SimError(Cancelled)
+            // at its next commit.
+            rec.stop.store(static_cast<u32>(StopCause::Cancelled));
         }
     }
-    // Already on (or headed to) a worker: raise the cooperative stop;
-    // the run dies with SimError(Cancelled) at its next commit.
-    rec.stop.store(static_cast<u32>(StopCause::Cancelled));
-    gateCv.notify_all();  // interrupt a backoff wait
+    if (queued)
+        finish(*queued, JobStatus::Cancelled, "cancelled while queued");
+    else
+        gateCv.notify_all();  // interrupt a backoff wait
     return true;
-}
-
-std::string
-Supervisor::capsuleText(u64 jobId) const
-{
-    JobRecord &rec = recordFor(jobId);
-    std::lock_guard<std::mutex> lock(m);
-    return rec.capsule;
 }
 
 void
@@ -364,37 +349,26 @@ Supervisor::emitSpan(TraceKind kind, unsigned attempt, u64 jobId, i64 a1)
 void
 Supervisor::drain()
 {
-    // The flag is raised under the same hold of m that cancels the
-    // backlog: a paused worker reads it in its gate predicate (under
-    // m), so it cannot pass the gate and start a job drain is about
-    // to cancel.
-    std::vector<u64> backlog;
+    // The flag is raised under the same hold of m that takes the
+    // backlog off the queue: a paused worker reads it in its gate
+    // predicate (under m), and a closed queue has nothing left to pop.
+    std::vector<JobRecord *> backlog;
     bool first = false;
     {
         std::lock_guard<std::mutex> lock(m);
         first = !drainFlag.exchange(true);
         if (first) {
-            queue.close();
-            // Cancel the backlog: anything still Queued will never be
-            // popped (workers skip terminal records), and clients
-            // blocked in wait() learn their fate now rather than never.
-            for (auto &[id, rec] : jobs) {
-                if (rec->outcome.status == JobStatus::Queued) {
-                    rec->outcome.status = JobStatus::Cancelled;
-                    counters.cancelled++;
-                    backlog.push_back(id);
-                }
-            }
+            for (const u64 id : queue.close())
+                backlog.push_back(jobs.at(id).get());
             paused = false;
         }
     }
     if (first) {
         flightRec.record(FlightKind::DrainBegin, 0);
-        if (journal)
-            for (const u64 id : backlog)
-                journal->append(JournalEvent::Cancelled, id, "drain", 0,
-                                nullptr, /*sync=*/true);
-        terminalCv.notify_all();
+        // Clients blocked in wait() learn their fate now rather than
+        // never.
+        for (JobRecord *rec : backlog)
+            finish(*rec, JobStatus::Cancelled, "drain");
         gateCv.notify_all();  // release the pause gate + backoff waits
     }
     {
@@ -507,22 +481,23 @@ Supervisor::workerLoop()
         }
         u64 id = 0;
         if (!queue.pop(id))
-            return;  // closed and drained
-        JobRecord &rec = recordFor(id);
+            return;  // closed
+        // A popped id is a live Queued record: cancel() and drain()
+        // only finish jobs they took off the queue themselves.
+        JobRecord *rec = nullptr;
         {
             std::lock_guard<std::mutex> lock(m);
-            if (rec.outcome.terminal())
-                continue;  // cancelled while queued
-            rec.outcome.status = JobStatus::Running;
-            rec.outcome.queueWaitUs = monotonicUs() - rec.admittedUs;
+            rec = jobs.at(id).get();
+            rec->outcome.status = JobStatus::Running;
+            rec->outcome.queueWaitUs = monotonicUs() - rec->admittedUs;
         }
-        svcMetrics().queueWaitUs.observe(rec.outcome.queueWaitUs);
+        svcMetrics().queueWaitUs.observe(rec->outcome.queueWaitUs);
         emitSpan(TraceKind::JobQueueWait, 0, id,
-                 static_cast<i64>(rec.outcome.queueWaitUs));
+                 static_cast<i64>(rec->outcome.queueWaitUs));
         flightRec.record(FlightKind::JobStarted, id);
         if (journal)
             journal->append(JournalEvent::Started, id);
-        runJob(rec);
+        runJob(*rec);
     }
 }
 
@@ -550,27 +525,18 @@ Supervisor::watchdogLoop()
 }
 
 void
-Supervisor::finish(JobRecord &rec, JobStatus status)
+Supervisor::finish(JobRecord &rec, JobStatus status,
+                   const std::string &detail)
 {
-    std::string detail;
-    {
-        std::lock_guard<std::mutex> lock(m);
-        rec.outcome.status = status;
-        rec.deadlineArmed = false;
-        detail = rec.outcome.errorKind;
-        switch (status) {
-          case JobStatus::Done: counters.done++; break;
-          case JobStatus::Failed: counters.failed++; break;
-          case JobStatus::Cancelled: counters.cancelled++; break;
-          default: break;
-        }
-    }
+    // The caller owns rec until the status is published below, so
+    // these unlocked reads race with no writer.
+    const u64 id = rec.outcome.jobId;
     const FlightKind kind = status == JobStatus::Done
                                 ? FlightKind::JobFinished
                                 : status == JobStatus::Cancelled
                                       ? FlightKind::JobCancelled
                                       : FlightKind::JobFailed;
-    flightRec.record(kind, rec.outcome.jobId, detail);
+    flightRec.record(kind, id, detail);
     if (journal) {
         const JournalEvent ev = status == JobStatus::Done
                                     ? JournalEvent::Completed
@@ -578,14 +544,25 @@ Supervisor::finish(JobRecord &rec, JobStatus status)
                                           ? JournalEvent::Cancelled
                                           : JournalEvent::Failed;
         // The terminal fsync is the other half of the contract: a
-        // finished job is never re-run by the next generation.
-        journal->append(ev, rec.outcome.jobId, detail,
-                        rec.outcome.attempts, nullptr, /*sync=*/true);
+        // finished job is never re-run by the next generation, and it
+        // lands before any client can see the outcome.
+        journal->append(ev, id, detail, rec.outcome.attempts, nullptr,
+                        /*sync=*/true);
         if (cfg.checkpointEveryInsts)
-            ::unlink(ckptPathFor(rec.outcome.jobId).c_str());
+            ::unlink(ckptPathFor(id).c_str());
     }
-    emitSpan(TraceKind::JobReply, 0, rec.outcome.jobId,
-             static_cast<i64>(status));
+    emitSpan(TraceKind::JobReply, 0, id, static_cast<i64>(status));
+    {
+        std::lock_guard<std::mutex> lock(m);
+        rec.outcome.status = status;
+        rec.deadlineArmed = false;
+        switch (status) {
+          case JobStatus::Done: counters.done++; break;
+          case JobStatus::Failed: counters.failed++; break;
+          case JobStatus::Cancelled: counters.cancelled++; break;
+          default: break;
+        }
+    }
     terminalCv.notify_all();
 }
 
@@ -624,7 +601,7 @@ Supervisor::runJob(JobRecord &rec)
             rec.outcome.statsJson = cached;
         }
         flightRec.record(FlightKind::JobCacheHit, rec.outcome.jobId);
-        finish(rec, JobStatus::Done);
+        finish(rec, JobStatus::Done, "");
         return;
     }
 
@@ -740,8 +717,8 @@ Supervisor::runJob(JobRecord &rec)
             }
             if (run.passed && attempt == 0)
                 resultCache.insert(cacheKey, rec.outcome.statsJson);
-            finish(rec, run.passed ? JobStatus::Done
-                                   : JobStatus::Failed);
+            finish(rec, run.passed ? JobStatus::Done : JobStatus::Failed,
+                   rec.outcome.errorKind);
             return;
         } catch (const SimError &err) {
             closeAttempt();
@@ -786,15 +763,15 @@ Supervisor::runJob(JobRecord &rec)
             // Crash isolation: the failure becomes a self-contained
             // replay capsule artifact, never a dead worker.
             std::string capsulePath;
-            std::string capsuleText;
+            std::string capsule;
             if (capCtx.valid) {
                 capsulePath =
                     strf(cfg.artifactDir, "/job-", rec.outcome.jobId,
                          ".capsule.json");
                 try {
-                    writeCapsule(capsulePath, attemptSpec, capCtx, err, "",
-                                 flightRec.dumpJson(/*pretty=*/false));
-                    capsuleText = readFile(capsulePath);
+                    capsule = writeCapsule(
+                        capsulePath, attemptSpec, capCtx, err, "",
+                        flightRec.dumpJson(/*pretty=*/false));
                 } catch (const FatalError &werr) {
                     warn(strf("job ", rec.outcome.jobId,
                               ": capsule write failed: ",
@@ -807,14 +784,13 @@ Supervisor::runJob(JobRecord &rec)
                 rec.outcome.error = err.what();
                 rec.outcome.errorKind =
                     simErrorKindName(err.kind());
-                if (!capsulePath.empty()) {
-                    rec.outcome.capsulePath = capsulePath;
-                    rec.capsule = std::move(capsuleText);
-                }
+                rec.outcome.capsulePath = std::move(capsulePath);
+                rec.outcome.capsule = std::move(capsule);
             }
             finish(rec, err.kind() == SimErrorKind::Cancelled
                             ? JobStatus::Cancelled
-                            : JobStatus::Failed);
+                            : JobStatus::Failed,
+                   rec.outcome.errorKind);
             return;
         } catch (const std::exception &err) {
             // FatalError / PanicError: a bug or bad input slipped
@@ -825,7 +801,7 @@ Supervisor::runJob(JobRecord &rec)
                 rec.outcome.error = err.what();
                 rec.outcome.errorKind = "fatal";
             }
-            finish(rec, JobStatus::Failed);
+            finish(rec, JobStatus::Failed, rec.outcome.errorKind);
             return;
         }
     }

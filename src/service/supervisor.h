@@ -9,17 +9,19 @@
  * Lifecycle of a job:
  *
  *   submit() validates the spec, allocates an id, and offers it to
- *   the bounded queue — a full queue sheds the job immediately
- *   (terminal Shed outcome, never queued). A worker picks it up,
- *   checks the content-addressed result cache (hit = Done without
- *   simulating, byte-identical to a cold run), and otherwise runs the
- *   kernel under the job's instruction valve, wall-clock deadline
- *   (enforced by a watchdog thread through the run's cooperative stop
- *   flag), and fault knobs. Retryable SimErrors re-run after
- *   exponential backoff with jitter under a re-derived fault seed;
- *   fatal or exhausted failures are packaged as replay capsules in
- *   the artifact directory. drain() closes admission, cancels the
- *   backlog, and finishes the jobs already running.
+ *   the bounded queue — a full queue sheds the job immediately (it
+ *   never becomes a record). A worker picks it up, checks the
+ *   content-addressed result cache (hit = Done without simulating,
+ *   byte-identical to a cold run), and otherwise runs the kernel
+ *   under the job's instruction valve, wall-clock deadline (enforced
+ *   by a watchdog thread through the run's cooperative stop flag),
+ *   and fault knobs. Retryable SimErrors re-run after exponential
+ *   backoff with jitter under a re-derived fault seed; fatal or
+ *   exhausted failures are packaged as replay capsules in the
+ *   artifact directory, and the outcome carries the capsule document.
+ *   drain() closes admission, cancels the backlog, and finishes the
+ *   jobs already running. wait() hands out the terminal outcome and
+ *   forgets the job, so the supervisor holds only live jobs.
  *
  * Thread safety: every public method may be called from any thread.
  */
@@ -71,13 +73,11 @@ struct SupervisorConfig
      *  with journalPath set; xloopsd --no-recover clears it. */
     bool recover = true;
 
-    /** Periodically checkpoint attempt-0 runs every N committed GPP
-     *  instructions so recovery can resume a long job mid-flight
-     *  instead of restarting it (0 disables; needs journalPath). */
+    /** Periodically checkpoint attempt-0 runs (into artifactDir)
+     *  every N committed GPP instructions so recovery can resume a long
+     *  job mid-flight instead of restarting it (0 disables; needs
+     *  journalPath). */
     u64 checkpointEveryInsts = 0;
-
-    /** Where job checkpoints live; empty = artifactDir. */
-    std::string checkpointDir;
 };
 
 /** Monotonic counters a `stats` request reports. */
@@ -140,28 +140,26 @@ class Supervisor
     /**
      * Validate and enqueue @p spec. Invalid specs and overload both
      * come back !accepted (reason distinguishes them); a shed job
-     * still has an id with a terminal Shed outcome.
+     * still has an id (journalled and counted) but no record.
      */
     Admission submit(const RunSpec &spec);
 
-    /** Block until @p jobId is terminal; returns its outcome.
-     *  Throws FatalError for unknown ids. */
+    /** Block until @p jobId is terminal, then hand out its outcome
+     *  and forget the job. Throws FatalError for ids that are unknown
+     *  or already handed out. */
     JobOutcome wait(u64 jobId);
 
-    /** Snapshot of @p jobId right now (may be non-terminal).
-     *  Throws FatalError for unknown ids. */
+    /** Snapshot of @p jobId right now (may be non-terminal). Throws
+     *  FatalError for ids that are unknown or already handed out. */
     JobOutcome status(u64 jobId) const;
 
     /**
      * Cancel @p jobId: a queued job becomes terminal Cancelled
      * without running; a running job gets its stop flag raised
      * (lands as a Cancelled SimError at the next commit boundary).
-     * False when already terminal or unknown.
+     * False when already terminal, handed out or unknown.
      */
     bool cancel(u64 jobId);
-
-    /** The capsule document of a failed job ("" when it has none). */
-    std::string capsuleText(u64 jobId) const;
 
     /** Release workers gated by SupervisorConfig::startPaused. */
     void resume();
@@ -204,12 +202,12 @@ class Supervisor
     Tracer &spanTracer() { return spans; }
 
   private:
+    /** A job from admission until wait() hands out its outcome. */
     struct JobRecord
     {
         RunSpec spec;
         JobOutcome outcome;
         std::atomic<u32> stop{0};  ///< a StopCause, polled by the run
-        std::string capsule;       ///< capsule document (in-memory)
         u64 admittedUs = 0;        ///< monotonicUs() at admission
 
         /** Crash recovery: the id this job had in the previous daemon
@@ -241,11 +239,16 @@ class Supervisor
      *  costs nothing). Gated on metricsEnabled(). */
     void emitSpan(TraceKind kind, unsigned attempt, u64 jobId, i64 a1);
 
-    /** Finalize @p rec with a terminal status; wakes waiters and
-     *  bumps the matching counter. */
-    void finish(JobRecord &rec, JobStatus status);
-
-    JobRecord &recordFor(u64 jobId) const;
+    /**
+     * The one terminal transition: write the journal record, the
+     * flight event and the span (all carrying @p detail), then publish
+     * @p status, bump its counter and wake the waiters. The caller
+     * must own @p rec (its worker, or whoever took it off the queue)
+     * and must not touch it afterwards: wait() may already have
+     * removed it.
+     */
+    void finish(JobRecord &rec, JobStatus status,
+                const std::string &detail);
 
     SupervisorConfig cfg;
     ResultCache resultCache;
@@ -256,7 +259,7 @@ class Supervisor
     mutable std::mutex m;
     std::condition_variable terminalCv;  ///< a job turned terminal
     std::condition_variable gateCv;      ///< pause gate + backoff waits
-    std::map<u64, std::unique_ptr<JobRecord>> jobs;
+    std::map<u64, std::unique_ptr<JobRecord>> jobs;  ///< live jobs only
     std::atomic<u64> nextJobId{1};
     bool paused = false;
     std::atomic<bool> drainFlag{false};

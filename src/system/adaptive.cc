@@ -56,10 +56,13 @@ AdaptiveController::saveState(JsonWriter &w) const
 void
 AdaptiveController::loadState(const JsonValue &v)
 {
-    fifoNext = v.at("fifo_next").asU64();
     const auto &arr = v.at("entries").array();
     if (arr.size() != entries.size())
         fatal("checkpoint APT size does not match configuration");
+    const u64 next = v.at("fifo_next").asU64();
+    if (next >= entries.size())
+        fatal(strf("checkpoint APT fifo_next ", next, " out of range"));
+    fifoNext = next;
     for (size_t i = 0; i < arr.size(); i++) {
         const JsonValue &ev = arr[i];
         AptEntry &e = entries[i];

@@ -1,7 +1,6 @@
 #include "system/capsule.h"
 
 #include <algorithm>
-#include <fstream>
 #include <iostream>
 #include <sstream>
 #include <vector>
@@ -68,7 +67,7 @@ struct ReplayOutcome
 
 } // namespace
 
-void
+std::string
 writeCapsule(const std::string &path, const RunSpec &spec,
              const CapsuleContext &ctx, const SimError &error,
              const std::string &workload, const std::string &flightJson)
@@ -76,10 +75,7 @@ writeCapsule(const std::string &path, const RunSpec &spec,
     if (!ctx.valid)
         fatal("cannot write a capsule: run context was not captured");
 
-    std::ofstream out(path);
-    if (!out)
-        fatal("cannot write " + path);
-
+    std::ostringstream out;
     JsonWriter w(out, /*pretty=*/true);
     w.beginObject();
     w.field("schema", capsuleSchema);
@@ -137,6 +133,9 @@ writeCapsule(const std::string &path, const RunSpec &spec,
 
     w.endObject();
     out << "\n";
+    const std::string text = out.str();
+    atomicWriteFile(path, text);
+    return text;
 }
 
 int

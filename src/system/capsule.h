@@ -40,17 +40,18 @@ struct CapsuleContext
     u64 lastCheckpointInst = 0;
 };
 
-/** Write @p error and the run that raised it as a capsule at @p path.
+/** Write @p error and the run that raised it as a capsule at @p path
+ *  and return the document written.
  *  @p spec is the RunSpec the run was built from; a run without a
  *  kernel (a program file, a fuzz case) is labelled @p workload.
  *  @p flightJson, when non-empty, is an "xloops-flight-1" document
  *  (the service flight recorder's dump) embedded under "flight" so a
  *  daemon-produced capsule carries the fleet context that led up to
  *  the failure. */
-void writeCapsule(const std::string &path, const RunSpec &spec,
-                  const CapsuleContext &ctx, const SimError &error,
-                  const std::string &workload = "",
-                  const std::string &flightJson = "");
+std::string writeCapsule(const std::string &path, const RunSpec &spec,
+                         const CapsuleContext &ctx, const SimError &error,
+                         const std::string &workload = "",
+                         const std::string &flightJson = "");
 
 /**
  * Replay the capsule at @p path: re-execute, verify the recorded

@@ -136,17 +136,9 @@ ooo4X2w()
 SysConfig
 byName(const std::string &name)
 {
-    for (const auto &cfg : mainGrid())
+    for (const SysConfig &cfg : all())
         if (cfg.name == name)
             return cfg;
-    if (name == "ooo/4+x4+t") return ooo4X4t();
-    if (name == "ooo/4+x8") return ooo4X8();
-    if (name == "ooo/4+x8+r") return ooo4X8r();
-    if (name == "ooo/4+x8+r+m") return ooo4X8rm();
-    if (name == "io+xf") return ioXf();
-    if (name == "ooo/4+xf") return ooo4Xf();
-    if (name == "io+x2w") return ioX2w();
-    if (name == "ooo/4+x2w") return ooo4X2w();
     fatal(strf("unknown system configuration '", name, "'"));
 }
 
@@ -154,6 +146,18 @@ std::vector<SysConfig>
 mainGrid()
 {
     return {io(), ooo2(), ooo4(), ioX(), ooo2X(), ooo4X()};
+}
+
+const std::vector<SysConfig> &
+all()
+{
+    static const std::vector<SysConfig> table = [] {
+        std::vector<SysConfig> cfgs = mainGrid();
+        cfgs.insert(cfgs.end(), {ooo4X4t(), ooo4X8(), ooo4X8r(), ooo4X8rm(),
+                                 ioXf(), ooo4Xf(), ioX2w(), ooo4X2w()});
+        return cfgs;
+    }();
+    return table;
 }
 
 } // namespace configs

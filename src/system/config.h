@@ -61,11 +61,16 @@ SysConfig ooo4Xf();
 SysConfig ioX2w();
 SysConfig ooo4X2w();
 
-/** Lookup by name ("io", "ooo/2+x", ...). Throws on unknown names. */
+/** Lookup in all() by name ("io", "ooo/2+x", ...). Throws on unknown
+ *  names. */
 SysConfig byName(const std::string &name);
 
 /** The six main-evaluation configurations. */
 std::vector<SysConfig> mainGrid();
+
+/** Every named configuration, in `xsim -l` order: the main grid, then
+ *  the DSE points and the extensions above. */
+const std::vector<SysConfig> &all();
 
 } // namespace configs
 

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <regex>
 #include <string>
 #include <utility>
 #include <vector>
@@ -41,7 +42,8 @@ struct SinkRun
 };
 
 SinkRun
-runWithSink(const std::string &kernelName, u64 every, bool lockstep)
+runWithSink(const std::string &kernelName, u64 every, bool lockstep,
+            ExecMode mode = ExecMode::Specialized)
 {
     SinkRun r;
     XloopsSystem sys(configs::ioX());
@@ -52,7 +54,7 @@ runWithSink(const std::string &kernelName, u64 every, bool lockstep)
     opts.checkpointSink = [&](u64 inst, const std::string &json) {
         r.ckpts.emplace_back(inst, json);
     };
-    r.result = sys.run(prog, ExecMode::Specialized, 500'000'000, opts);
+    r.result = sys.run(prog, mode, 500'000'000, opts);
     r.memDigest = sys.memory().digest();
     return r;
 }
@@ -214,6 +216,30 @@ TEST(CheckpointValidation, RejectsModeMismatch)
                                              ExecMode::Traditional,
                                              "kmeans-or", f.ckpt),
                  FatalError);
+}
+
+TEST(CheckpointValidation, RejectsAptFifoCursorOutOfRange)
+{
+    // An adaptive-mode checkpoint whose FIFO cursor points past the
+    // 16-entry table, with every entry invalid so the next xloop
+    // allocates at the cursor.
+    std::string ckpt =
+        runWithSink("kmeans-or", 200, false, ExecMode::Adaptive)
+            .ckpts.front()
+            .second;
+    ckpt = std::regex_replace(ckpt, std::regex("\"fifo_next\": [0-9]+"),
+                              "\"fifo_next\": 1000000000");
+    ckpt = std::regex_replace(ckpt, std::regex("\"valid\": true"),
+                              "\"valid\": false");
+    try {
+        RestoreFixture::restoreInto(configs::ioX(), ExecMode::Adaptive,
+                                    "kmeans-or", ckpt);
+        FAIL() << "restore accepted an out-of-range fifo_next";
+    } catch (const FatalError &err) {
+        EXPECT_NE(std::string(err.what()).find("fifo_next"),
+                  std::string::npos)
+            << err.what();
+    }
 }
 
 TEST(CheckpointValidation, RejectsDifferentProgramImage)

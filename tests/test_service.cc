@@ -13,6 +13,11 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
+#include <vector>
+
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include "common/flight.h"
 #include "common/loop_profile.h"
@@ -20,7 +25,9 @@
 #include "common/log.h"
 #include "common/metrics.h"
 #include "common/rng.h"
+#include "common/serialize.h"
 #include "common/sim_error.h"
+#include "common/trace.h"
 #include "kernels/kernel.h"
 #include "service/cache.h"
 #include "service/job.h"
@@ -54,14 +61,15 @@ TEST(BoundedJobQueue, CloseRefusesPushesAndDrainsPoppers)
 {
     BoundedJobQueue q(4);
     EXPECT_TRUE(q.tryPush(1));
-    q.close();
+    EXPECT_TRUE(q.tryPush(2));
+    EXPECT_EQ(q.close(), (std::vector<u64>{1, 2}))
+        << "close hands the backlog back, oldest first";
     EXPECT_TRUE(q.isClosed());
-    EXPECT_FALSE(q.tryPush(2)) << "closed queue refuses pushes";
+    EXPECT_FALSE(q.tryPush(3)) << "closed queue refuses pushes";
+    EXPECT_TRUE(q.close().empty()) << "the backlog is handed back once";
 
     u64 id = 0;
-    EXPECT_TRUE(q.pop(id)) << "backlog still drains after close";
-    EXPECT_EQ(id, 1u);
-    EXPECT_FALSE(q.pop(id)) << "closed and empty: poppers exit";
+    EXPECT_FALSE(q.pop(id)) << "closed: poppers exit";
 }
 
 TEST(BoundedJobQueue, RemoveUnqueuesACancelledJob)
@@ -375,6 +383,12 @@ TEST(Protocol, OutcomeEncodingIsSingleLineAndComplete)
     EXPECT_EQ(v.at("error").asString(), o.error);
     EXPECT_EQ(v.at("stats").asString(), o.statsJson)
         << "the stats document survives byte-for-byte";
+    EXPECT_FALSE(v.has("capsule")) << "no capsule, no field";
+
+    o.capsule = "{\n  \"schema\": \"xloops-capsule-1\"\n}\n";
+    EXPECT_EQ(jsonParse(encodeOutcome(o)).at("capsule").asString(),
+              o.capsule)
+        << "the capsule document survives byte-for-byte";
 }
 
 TEST(Protocol, OutcomeCarriesSpanTimings)
@@ -447,6 +461,36 @@ TEST(Protocol, HealthResponseCarriesEveryField)
     EXPECT_FALSE(v.at("draining").asBool());
 }
 
+TEST(Protocol, LineReaderFramesAcrossReadsAndAtEnd)
+{
+    int fds[2];
+    ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+    // A line longer than one 64 KiB read, two lines in one write, and
+    // an unterminated rest before the peer closes.
+    const std::string big(200000, 'x');
+    std::thread writer([&] {
+        EXPECT_TRUE(sendLine(fds[1], big));
+        EXPECT_TRUE(sendLine(fds[1], "a\nb"));
+        EXPECT_EQ(::write(fds[1], "rest", 4), 4);
+        ::close(fds[1]);
+    });
+    LineReader reader(fds[0]);
+    std::string line;
+    ASSERT_TRUE(reader.next(line));
+    EXPECT_EQ(line, big);
+    ASSERT_TRUE(reader.next(line));
+    EXPECT_EQ(line, "a");
+    ASSERT_TRUE(reader.next(line));
+    EXPECT_EQ(line, "b");
+    EXPECT_FALSE(reader.atEnd());
+    ASSERT_TRUE(reader.next(line));
+    EXPECT_EQ(line, "rest");
+    EXPECT_TRUE(reader.atEnd());
+    EXPECT_FALSE(reader.next(line));
+    writer.join();
+    ::close(fds[0]);
+}
+
 // ----------------------------------------------------------- supervisor
 
 SupervisorConfig
@@ -487,6 +531,11 @@ TEST(Supervisor, RunsAJobAndServesTheSecondFromCache)
     EXPECT_EQ(o2.cycles, o1.cycles);
     EXPECT_EQ(o2.gppInsts, o1.gppInsts);
     EXPECT_EQ(sup.cache().hits(), 1u);
+
+    // wait() handed both outcomes out and forgot the jobs.
+    EXPECT_THROW(sup.status(a1.jobId), FatalError);
+    EXPECT_THROW(sup.wait(a2.jobId), FatalError);
+    EXPECT_FALSE(sup.cancel(a2.jobId));
 }
 
 TEST(Supervisor, RejectsAJobWithoutAKernel)
@@ -515,11 +564,11 @@ TEST(Supervisor, DivergenceIsNeverRetriedButAlwaysCapsuled)
     EXPECT_EQ(o.status, JobStatus::Failed);
     EXPECT_EQ(o.attempts, 1u) << "divergence must not retry";
     EXPECT_EQ(o.errorKind, "divergence");
-    EXPECT_FALSE(o.capsulePath.empty());
+    ASSERT_FALSE(o.capsulePath.empty());
 
-    const std::string capsule = sup.capsuleText(adm.jobId);
-    ASSERT_FALSE(capsule.empty());
-    const JsonValue v = jsonParse(capsule);
+    // The outcome carries the capsule the artifact file holds.
+    EXPECT_EQ(o.capsule, readFile(o.capsulePath));
+    const JsonValue v = jsonParse(o.capsule);
     EXPECT_EQ(v.at("schema").asString(), "xloops-capsule-1");
 }
 
@@ -544,6 +593,23 @@ TEST(Supervisor, RetryableFailureIsBoundedAndThenCapsuled)
     EXPECT_GE(sup.stats().retries, 2u);
 }
 
+/** A cancelled job left a JobCancelled flight event and a JobReply
+ *  span, as every terminal transition does. */
+bool
+leftCancellationRecords(Supervisor &sup, u64 jobId)
+{
+    bool flight = false;
+    for (const FlightEvent &ev : sup.flight().events())
+        flight |= ev.kind == FlightKind::JobCancelled && ev.jobId == jobId;
+    bool span = false;
+    const Tracer &spans = sup.spanTracer();
+    for (const TraceEvent &ev : spans.lastEvents(spans.size()))
+        span |= ev.kind == TraceKind::JobReply &&
+                ev.a0 == static_cast<i64>(jobId) &&
+                ev.a1 == static_cast<i64>(JobStatus::Cancelled);
+    return flight && span;
+}
+
 TEST(Supervisor, BoundedQueueShedsDeterministically)
 {
     SupervisorConfig cfg = testConfig("shed");
@@ -556,12 +622,16 @@ TEST(Supervisor, BoundedQueueShedsDeterministically)
     const Admission a2 = sup.submit(specimenSpec());
     EXPECT_FALSE(a2.accepted);
     EXPECT_EQ(a2.reason, "overloaded");
-    EXPECT_EQ(sup.status(a2.jobId).status, JobStatus::Shed);
+    EXPECT_NE(a2.jobId, 0u) << "a shed job still has an id";
+    EXPECT_THROW(sup.status(a2.jobId), FatalError)
+        << "a shed submission leaves no record";
     EXPECT_EQ(sup.stats().shed, 1u);
 
     // Draining cancels the job still queued behind the pause gate.
     sup.drain();
     EXPECT_EQ(sup.status(a1.jobId).status, JobStatus::Cancelled);
+    EXPECT_TRUE(leftCancellationRecords(sup, a1.jobId));
+    EXPECT_EQ(sup.wait(a1.jobId).status, JobStatus::Cancelled);
     EXPECT_FALSE(sup.submit(specimenSpec()).accepted)
         << "a draining supervisor refuses new work";
 }
@@ -578,6 +648,7 @@ TEST(Supervisor, CancelUnqueuesAJobBeforeItRuns)
     const JobOutcome o = sup.wait(adm.jobId);
     EXPECT_EQ(o.status, JobStatus::Cancelled);
     EXPECT_EQ(o.attempts, 0u) << "never ran";
+    EXPECT_TRUE(leftCancellationRecords(sup, adm.jobId));
     EXPECT_FALSE(sup.cancel(adm.jobId)) << "already terminal";
 
     sup.resume();

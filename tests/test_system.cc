@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "asm/assembler.h"
 #include "common/log.h"
 #include "system/system.h"
@@ -25,8 +28,18 @@ TEST(Configs, MainGridNamesAndShapes)
 
 TEST(Configs, ByNameRoundTripsAndRejectsUnknown)
 {
-    for (const auto &cfg : configs::mainGrid())
+    // all() is what `xsim -l` lists and all byName() accepts.
+    std::vector<std::string> names;
+    for (const SysConfig &cfg : configs::all()) {
         EXPECT_EQ(configs::byName(cfg.name).name, cfg.name);
+        names.push_back(cfg.name);
+    }
+    const std::vector<std::string> want = {
+        "io",         "ooo/2",        "ooo/4",      "io+x",
+        "ooo/2+x",    "ooo/4+x",      "ooo/4+x4+t", "ooo/4+x8",
+        "ooo/4+x8+r", "ooo/4+x8+r+m", "io+xf",      "ooo/4+xf",
+        "io+x2w",     "ooo/4+x2w"};
+    EXPECT_EQ(names, want);
     EXPECT_EQ(configs::byName("ooo/4+x8+r+m").lpsu.lsqLoadEntries, 16u);
     EXPECT_THROW(configs::byName("pentium"), FatalError);
 }

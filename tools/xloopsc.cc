@@ -10,10 +10,10 @@
  * same thing (a seed without a rate injects at the same default).
  *
  * Exit codes: 0 job done (or control ok / healthy), 1 user/connection
- * error (daemon unreachable), 2 job failed (capsule downloadable with
- * --capsule-out), 3 job cancelled, 4 job shed by admission control
- * ("overloaded"), 5 daemon degraded (`xloopsc health`: shedding or
- * draining).
+ * error (daemon unreachable), 2 job failed (the reply carries its
+ * capsule; --capsule-out saves it), 3 job cancelled, 4 job shed by
+ * admission control ("overloaded"), 5 daemon degraded (`xloopsc
+ * health`: shedding or draining).
  */
 
 #include <algorithm>
@@ -75,12 +75,6 @@ main(int argc, char **argv)
     const auto op = [&req](const char *name) {
         return [&req, name](const std::string &) { req.op = name; };
     };
-    const auto jobOp = [&req](const char *name) {
-        return [&req, name](const std::string &id) {
-            req.op = name;
-            req.jobId = parseU64(id, strf("--", name));
-        };
-    };
     cli::Command cmd{
         "xloopsc",
         "[metrics|health] [options]",
@@ -112,10 +106,12 @@ main(int argc, char **argv)
             {"--drain", "", "control: ask the daemon to shut down "
                             "gracefully",
              op("drain")},
-            {"--status", "<id>", "control: outcome snapshot of a job",
-             jobOp("status")},
-            {"--capsule", "<id>", "control: download a failed job's capsule",
-             jobOp("capsule")},
+            {"--status", "<id>",
+             "control: outcome snapshot of a job still in flight",
+             [&req](const std::string &id) {
+                 req.op = "status";
+                 req.jobId = parseU64(id, "--status");
+             }},
         }};
     // Job submission (synchronous): the run's own rows, then the
     // service-only ones, then the outputs.
@@ -222,22 +218,6 @@ main(int argc, char **argv)
                                                   : "");
             return degraded ? 5 : 0;
         }
-        if (req.op == "capsule") {
-            if (status != "ok") {
-                std::fprintf(stderr, "%s\n",
-                             v.at("error").asString().c_str());
-                return 1;
-            }
-            const std::string text = v.at("capsule").asString();
-            if (capsuleOut.empty())
-                std::printf("%s", text.c_str());
-            else {
-                writeFileOrDie(capsuleOut, text);
-                std::printf("capsule: %s\n", capsuleOut.c_str());
-            }
-            return 0;
-        }
-
         // submit / status: a job outcome line.
         std::printf("job %llu: %s",
                     static_cast<unsigned long long>(
@@ -260,19 +240,9 @@ main(int argc, char **argv)
             writeFileOrDie(statsOut, v.at("stats").asString());
             std::printf("stats: %s\n", statsOut.c_str());
         }
-        if (!capsuleOut.empty() && v.has("id") &&
-            (status == "failed" || status == "cancelled")) {
-            // Fetch the capsule over the same connection.
-            Request creq;
-            creq.op = "capsule";
-            creq.jobId = v.at("id").asU64();
-            const JsonValue cv =
-                jsonParse(client.request(encodeRequest(creq)));
-            if (cv.at("status").asString() == "ok") {
-                writeFileOrDie(capsuleOut,
-                               cv.at("capsule").asString());
-                std::printf("capsule: %s\n", capsuleOut.c_str());
-            }
+        if (!capsuleOut.empty() && v.has("capsule")) {
+            writeFileOrDie(capsuleOut, v.at("capsule").asString());
+            std::printf("capsule: %s\n", capsuleOut.c_str());
         }
         return exitCodeFor(status);
     } catch (const FatalError &err) {

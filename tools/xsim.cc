@@ -72,11 +72,8 @@ void
 listEverything()
 {
     std::printf("configurations:\n");
-    for (const auto &cfg : configs::mainGrid())
+    for (const SysConfig &cfg : configs::all())
         std::printf("  %s\n", cfg.name.c_str());
-    for (const char *name : {"ooo/4+x4+t", "ooo/4+x8", "ooo/4+x8+r",
-                             "ooo/4+x8+r+m", "io+xf", "ooo/4+xf"})
-        std::printf("  %s\n", name);
     std::printf("kernels:\n");
     for (const Kernel &k : kernelRegistry())
         std::printf("  %-16s (%s, suite %s)\n", k.name.c_str(),
