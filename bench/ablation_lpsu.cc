@@ -87,12 +87,12 @@ main(int argc, char **argv)
                     fwdKernels[k].c_str(),
                     static_cast<unsigned long long>(base.cycles),
                     static_cast<unsigned long long>(
-                        base.stats.get("squashes")),
+                        base.stats.get(Stat::Squashes)),
                     static_cast<unsigned long long>(fwd.cycles),
                     static_cast<unsigned long long>(
-                        fwd.stats.get("squashes")),
+                        fwd.stats.get(Stat::Squashes)),
                     static_cast<unsigned long long>(
-                        fwd.stats.get("squashes_filtered")),
+                        fwd.stats.get(Stat::SquashesFiltered)),
                     ratio(base.cycles, fwd.cycles));
     }
 

@@ -71,7 +71,7 @@ main()
                     static_cast<double>(t) / static_cast<double>(s),
                     static_cast<unsigned long long>(
                         spec.lpsuModel().stats().get(
-                            "cancelled_iterations")),
+                            Stat::CancelledIterations)),
                     ok ? "" : "WRONG RESULT");
     }
     std::printf("\nSpeculative iterations beyond the exit are cancelled "

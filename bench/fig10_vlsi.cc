@@ -80,12 +80,12 @@ main()
                                ExecMode::Specialized);
         // Instruction-fetch energy split: GPP insts fetch from the
         // icache, lane insts from the (10x cheaper) IB.
-        const double gpFetch = static_cast<double>(g.stats.get("insts")) *
+        const double gpFetch = static_cast<double>(g.stats.get(Stat::Insts)) *
                                model.table().icacheAccess / 1000.0;
         const double lpsuFetch =
-            (static_cast<double>(s.stats.get("insts")) *
+            (static_cast<double>(s.stats.get(Stat::Insts)) *
                  model.table().icacheAccess +
-             static_cast<double>(s.stats.get("lane_insts")) *
+             static_cast<double>(s.stats.get(Stat::LaneInsts)) *
                  model.table().ibAccess) /
             1000.0;
         std::printf("%-14s %9.2f %12.2f %14.1f %14.1f\n", name.c_str(),

@@ -30,24 +30,24 @@ main()
         sys.run(prog, ExecMode::Specialized);
         const StatGroup &s = sys.lpsuModel().stats();
 
-        const double exec = static_cast<double>(s.get("lane_exec_cycles"));
+        const double exec = static_cast<double>(s.get(Stat::LaneExecCycles));
         const double raw =
-            static_cast<double>(s.get("lane_raw_stall_cycles"));
+            static_cast<double>(s.get(Stat::LaneRawStallCycles));
         const double cir =
-            static_cast<double>(s.get("lane_cir_stall_cycles") +
-                                s.get("lane_cib_stall_cycles"));
+            static_cast<double>(s.get(Stat::LaneCirStallCycles) +
+                                s.get(Stat::LaneCibStallCycles));
         const double mport =
-            static_cast<double>(s.get("lane_memport_stall_cycles"));
+            static_cast<double>(s.get(Stat::LaneMemportStallCycles));
         const double llfu =
-            static_cast<double>(s.get("lane_llfu_stall_cycles"));
+            static_cast<double>(s.get(Stat::LaneLlfuStallCycles));
         const double lsq =
-            static_cast<double>(s.get("lane_lsq_stall_cycles"));
+            static_cast<double>(s.get(Stat::LaneLsqStallCycles));
         const double commit =
-            static_cast<double>(s.get("lane_commit_stall_cycles") +
-                                s.get("lane_amo_stall_cycles"));
+            static_cast<double>(s.get(Stat::LaneCommitStallCycles) +
+                                s.get(Stat::LaneAmoStallCycles));
         const double idle =
-            static_cast<double>(s.get("lane_idle_cycles"));
-        const double squash = static_cast<double>(s.get("squash_cycles"));
+            static_cast<double>(s.get(Stat::LaneIdleCycles));
+        const double squash = static_cast<double>(s.get(Stat::SquashCycles));
         const double total =
             exec + raw + cir + mport + llfu + lsq + commit + idle;
         if (total == 0)

@@ -46,7 +46,7 @@ main()
                 "updates\n",
                 sys.memory().readWord(prog.symbol("tail")),
                 static_cast<unsigned long long>(
-                    sys.lpsuModel().stats().get("bound_updates")));
+                    sys.lpsuModel().stats().get(Stat::BoundUpdates)));
     std::printf("distances from node 0: ");
     for (unsigned v = 0; v < 8; v++)
         std::printf("%u ", sys.memory().readWord(prog.symbol("dist") + 4 * v));

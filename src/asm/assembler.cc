@@ -138,6 +138,12 @@ Parser::parseNumber(const std::string &tok, bool &ok) const
     if (pos >= tok.size())
         return 0;
     i64 value = 0;
+    // Far beyond any field, and far from i64 overflow.
+    auto accumulate = [&](i64 base, int digit) {
+        value = value * base + digit;
+        if (value > (i64{1} << 40))
+            err(strf("number ", tok, " out of range"));
+    };
     if (tok.compare(pos, 2, "0x") == 0 || tok.compare(pos, 2, "0X") == 0) {
         pos += 2;
         if (pos >= tok.size())
@@ -146,9 +152,9 @@ Parser::parseNumber(const std::string &tok, bool &ok) const
             const char c = static_cast<char>(
                 std::tolower(static_cast<unsigned char>(tok[pos])));
             if (c >= '0' && c <= '9')
-                value = value * 16 + (c - '0');
+                accumulate(16, c - '0');
             else if (c >= 'a' && c <= 'f')
-                value = value * 16 + (c - 'a' + 10);
+                accumulate(16, c - 'a' + 10);
             else
                 return 0;
         }
@@ -156,7 +162,7 @@ Parser::parseNumber(const std::string &tok, bool &ok) const
         for (; pos < tok.size(); pos++) {
             if (!std::isdigit(static_cast<unsigned char>(tok[pos])))
                 return 0;
-            value = value * 10 + (tok[pos] - '0');
+            accumulate(10, tok[pos] - '0');
         }
     }
     ok = true;
@@ -264,6 +270,8 @@ Parser::expandPseudo(const std::string &mnem,
         const Token val = tok(1);
         if (rd.kind != Token::Reg || val.kind != Token::Imm)
             err("li needs rd, literal");
+        if (val.imm < -(i64{1} << 31) || val.imm > i64{0xffffffff})
+            err(strf("li operand ", val.imm, " does not fit in 32 bits"));
         if (fitsSigned(val.imm, 14)) {
             addInstItem("addi", {rd, regTok(0), immTok(val.imm)});
         } else {
@@ -555,6 +563,19 @@ Parser::encodeItem(const Item &item, const std::map<std::string, Addr> &syms)
             err("misaligned branch target");
         return delta / 4;
     };
+    // Every field is range-checked as an i64 before it narrows, so an
+    // operand that does not fit is an error naming the line, never a
+    // silent wrap or an encoder assertion.
+    auto field = [&](i64 v, i64 lo, i64 hi) -> i32 {
+        if (v < lo || v > hi) {
+            err(strf(item.mnemonic, " operand ", v, " out of range [", lo,
+                     ", ", hi, "]"));
+        }
+        return static_cast<i32>(v);
+    };
+    auto simm = [&](i64 v, unsigned bits) {
+        return field(v, -(i64{1} << (bits - 1)), (i64{1} << (bits - 1)) - 1);
+    };
     const auto &ops = item.operands;
     auto need = [&](size_t n) {
         if (ops.size() != n)
@@ -584,7 +605,7 @@ Parser::encodeItem(const Item &item, const std::map<std::string, Addr> &syms)
             if (ops[1].kind != Token::MemRef)
                 err("load needs offset(base) operand");
             inst.rs1 = ops[1].reg;
-            inst.imm = static_cast<i32>(immOf(ops[1]));
+            inst.imm = simm(immOf(ops[1]), 14);
         } else if (op == Op::JALR) {
             need(2);
             inst.rd = regOf(ops[0]);
@@ -593,7 +614,7 @@ Parser::encodeItem(const Item &item, const std::map<std::string, Addr> &syms)
             need(3);
             inst.rd = regOf(ops[0]);
             inst.rs1 = regOf(ops[1]);
-            inst.imm = static_cast<i32>(immOf(ops[2]));
+            inst.imm = simm(immOf(ops[2]), 14);
         }
         break;
       case Format::S:
@@ -602,30 +623,30 @@ Parser::encodeItem(const Item &item, const std::map<std::string, Addr> &syms)
         if (ops[1].kind != Token::MemRef)
             err("store needs offset(base) operand");
         inst.rs1 = ops[1].reg;
-        inst.imm = static_cast<i32>(immOf(ops[1]));
+        inst.imm = simm(immOf(ops[1]), 14);
         break;
       case Format::U:
       case Format::C:
         need(2);
         inst.rd = regOf(ops[0]);
-        inst.imm = static_cast<i32>(immOf(ops[1]));
+        inst.imm = field(immOf(ops[1]), 0, (i64{1} << 19) - 1);
         break;
       case Format::B:
         need(3);
         inst.rs1 = regOf(ops[0]);
         inst.rs2 = regOf(ops[1]);
-        inst.imm = static_cast<i32>(wordOffset(ops[2]));
+        inst.imm = simm(wordOffset(ops[2]), 14);
         break;
       case Format::J:
         need(2);
         inst.rd = regOf(ops[0]);
-        inst.imm = static_cast<i32>(wordOffset(ops[1]));
+        inst.imm = simm(wordOffset(ops[1]), 19);
         break;
       case Format::X:
         need(3);
         inst.rd = regOf(ops[0]);
         inst.rs1 = regOf(ops[1]);
-        inst.imm = static_cast<i32>(wordOffset(ops[2]));
+        inst.imm = simm(wordOffset(ops[2]), 13);
         if (inst.imm >= 0)
             err("xloop body label must precede the xloop instruction");
         break;
@@ -633,7 +654,7 @@ Parser::encodeItem(const Item &item, const std::map<std::string, Addr> &syms)
         need(2);
         inst.rd = regOf(ops[0]);
         if (op == Op::ADDIU_XI)
-            inst.imm = static_cast<i32>(immOf(ops[1]));
+            inst.imm = simm(immOf(ops[1]), 14);
         else
             inst.rs2 = regOf(ops[1]);
         break;

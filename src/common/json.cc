@@ -11,7 +11,7 @@
 namespace xloops {
 
 std::string
-jsonEscape(const std::string &s)
+jsonEscape(std::string_view s)
 {
     std::string out;
     out.reserve(s.size());
@@ -462,7 +462,7 @@ JsonWriter::endArray()
 }
 
 JsonWriter &
-JsonWriter::key(const std::string &name)
+JsonWriter::key(std::string_view name)
 {
     XL_ASSERT(!stack.empty() && stack.back().isObject,
               "key outside an object");

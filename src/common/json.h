@@ -13,6 +13,7 @@
 #include <memory>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -21,7 +22,7 @@
 namespace xloops {
 
 /** Escape @p s for inclusion inside a JSON string literal. */
-std::string jsonEscape(const std::string &s);
+std::string jsonEscape(std::string_view s);
 
 /** Inverse of jsonEscape (resolves \uXXXX to UTF-8). */
 std::string jsonUnescape(const std::string &s);
@@ -88,8 +89,8 @@ void writeJsonValue(JsonWriter &w, const JsonValue &v);
 
 /**
  * Streaming JSON writer with explicit structure calls. Callers are
- * responsible for key order; producers in this codebase iterate
- * std::map so output is deterministically sorted.
+ * responsible for key order; producers in this codebase emit sorted
+ * keys (std::map iteration, or the stat catalogue's name order).
  */
 class JsonWriter
 {
@@ -102,7 +103,7 @@ class JsonWriter
     JsonWriter &endArray();
 
     /** Emit an object key; must be followed by exactly one value. */
-    JsonWriter &key(const std::string &name);
+    JsonWriter &key(std::string_view name);
 
     JsonWriter &value(const std::string &v);
     JsonWriter &value(const char *v);
@@ -118,7 +119,7 @@ class JsonWriter
 
     template <typename T>
     JsonWriter &
-    field(const std::string &k, T v)
+    field(std::string_view k, T v)
     {
         key(k);
         return value(v);

@@ -1,9 +1,11 @@
 #include "common/stats.h"
 
 #include <algorithm>
+#include <bit>
 #include <sstream>
 
 #include "common/json.h"
+#include "common/log.h"
 #include "common/serialize.h"
 
 namespace xloops {
@@ -15,14 +17,7 @@ namespace xloops {
 unsigned
 Histogram::bucketIndex(u64 value)
 {
-    if (value == 0)
-        return 0;
-    unsigned index = 1;
-    while (value > 1) {
-        value >>= 1;
-        index++;
-    }
-    return index;
+    return static_cast<unsigned>(std::bit_width(value));
 }
 
 u64
@@ -101,52 +96,6 @@ Histogram::writeJson(JsonWriter &w) const
     w.endObject();
 }
 
-// ---------------------------------------------------------------------
-// StatGroup.
-// ---------------------------------------------------------------------
-
-u64
-StatGroup::get(const std::string &name) const
-{
-    auto it = counters.find(name);
-    return it == counters.end() ? 0 : it->second;
-}
-
-void
-StatGroup::merge(const StatGroup &other)
-{
-    for (const auto &[name, value] : other.counters)
-        counters[name] += value;
-    for (const auto &[name, histogram] : other.histograms)
-        histograms[name].merge(histogram);
-}
-
-std::string
-StatGroup::dump(const std::string &prefix) const
-{
-    std::ostringstream os;
-    for (const auto &[name, value] : counters)
-        os << prefix << name << " = " << value << "\n";
-    for (const auto &[name, histogram] : histograms)
-        os << prefix << name << " = " << histogram.dump() << "\n";
-    return os.str();
-}
-
-void
-StatGroup::writeJson(JsonWriter &w) const
-{
-    w.key("counters").beginObject();
-    for (const auto &[name, value] : counters)
-        w.field(name, value);
-    w.endObject();
-    w.key("histograms").beginObject();
-    for (const auto &[name, histogram] : histograms) {
-        w.key(name);
-        histogram.writeJson(w);
-    }
-    w.endObject();
-}
-
 void
 Histogram::saveState(JsonWriter &w) const
 {
@@ -168,30 +117,125 @@ Histogram::loadState(const JsonValue &v)
     counts = readU64Array(v.at("buckets"));
 }
 
+// ---------------------------------------------------------------------
+// The catalogue and StatGroup.
+// ---------------------------------------------------------------------
+
+std::optional<Stat>
+statByName(std::string_view name)
+{
+    const auto *first = std::begin(statCatalogue);
+    const auto *last = std::end(statCatalogue);
+    const auto *it = std::lower_bound(
+        first, last, name,
+        [](const StatInfo &info, std::string_view key) {
+            return info.name < key;
+        });
+    if (it == last || it->name != name)
+        return std::nullopt;
+    return static_cast<Stat>(it - first);
+}
+
+u64
+StatGroup::get(std::string_view name) const
+{
+    const std::optional<Stat> s = statByName(name);
+    return s && statInfo(*s).kind == StatKind::Counter ? get(*s) : 0;
+}
+
+void
+StatGroup::merge(const StatGroup &other)
+{
+    for (size_t i = 0; i < numStats; i++)
+        counters[i] += other.counters[i];
+    for (size_t i = 0; i < numHistograms; i++)
+        histograms[i].merge(other.histograms[i]);
+    present |= other.present;
+}
+
+void
+StatGroup::clear()
+{
+    counters.fill(0);
+    for (Histogram &h : histograms)
+        h.clear();
+    present.reset();
+}
+
+std::string
+StatGroup::dump(const std::string &prefix) const
+{
+    std::ostringstream os;
+    forEach(StatKind::Counter, [&](Stat s, const StatInfo &info) {
+        os << prefix << info.name << " = " << get(s) << "\n";
+    });
+    forEach(StatKind::Histogram, [&](Stat s, const StatInfo &info) {
+        os << prefix << info.name << " = " << hist(s).dump() << "\n";
+    });
+    return os.str();
+}
+
+void
+StatGroup::writeJson(JsonWriter &w) const
+{
+    w.key("counters").beginObject();
+    forEach(StatKind::Counter, [&](Stat s, const StatInfo &info) {
+        w.field(info.name, get(s));
+    });
+    w.endObject();
+    w.key("histograms").beginObject();
+    forEach(StatKind::Histogram, [&](Stat s, const StatInfo &info) {
+        w.key(info.name);
+        hist(s).writeJson(w);
+    });
+    w.endObject();
+}
+
 void
 StatGroup::saveState(JsonWriter &w) const
 {
     w.key("counters").beginObject();
-    for (const auto &[name, value] : counters)
-        w.field(name, value);
+    forEach(StatKind::Counter, [&](Stat s, const StatInfo &info) {
+        w.field(info.name, get(s));
+    });
     w.endObject();
     w.key("histograms").beginObject();
-    for (const auto &[name, histogram] : histograms) {
-        w.key(name).beginObject();
-        histogram.saveState(w);
+    forEach(StatKind::Histogram, [&](Stat s, const StatInfo &info) {
+        w.key(info.name).beginObject();
+        hist(s).saveState(w);
         w.endObject();
-    }
+    });
     w.endObject();
 }
+
+namespace {
+
+/** The catalogue id of checkpointed entry @p name of kind @p kind. */
+Stat
+checkpointStat(const std::string &name, StatKind kind)
+{
+    const std::optional<Stat> s = statByName(name);
+    if (!s || statInfo(*s).kind != kind) {
+        fatal(strf("checkpoint names unknown ",
+                   kind == StatKind::Counter ? "counter" : "histogram",
+                   " '", name, "'"));
+    }
+    return *s;
+}
+
+} // namespace
 
 void
 StatGroup::loadState(const JsonValue &v)
 {
     clear();
     for (const auto &[name, value] : v.at("counters").members())
-        counters[name] = value.asU64();
-    for (const auto &[name, histogram] : v.at("histograms").members())
-        histograms[name].loadState(histogram);
+        set(checkpointStat(name, StatKind::Counter), value.asU64());
+    for (const auto &[name, histogram] : v.at("histograms").members()) {
+        const Stat s = checkpointStat(name, StatKind::Histogram);
+        histograms[histogramSlot(s)].loadState(histogram);
+        present.set(static_cast<size_t>(s));
+    }
 }
 
 } // namespace xloops

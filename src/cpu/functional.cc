@@ -17,9 +17,9 @@ FunctionalExecutor::run(const Program &prog, u64 maxInsts)
                                                result.dynInsts);
         result.dynInsts++;
         if (inst.isXloop())
-            statGroup.add("xloop_insts");
+            statGroup.add(Stat::XloopInsts);
         if (inst.isXi())
-            statGroup.add("xi_insts");
+            statGroup.add(Stat::XiInsts);
         if (step.halted) {
             result.halted = true;
             break;
@@ -28,7 +28,7 @@ FunctionalExecutor::run(const Program &prog, u64 maxInsts)
         if (result.dynInsts >= maxInsts)
             fatal("functional execution exceeded instruction limit");
     }
-    statGroup.set("dyn_insts", result.dynInsts);
+    statGroup.set(Stat::DynInsts, result.dynInsts);
     return result;
 }
 

@@ -29,7 +29,7 @@ void
 InOrderCpu::advanceTo(Cycle cycle)
 {
     if (cycle > nextIssue) {
-        statGroup.add("ext_stall_cycles", cycle - nextIssue);
+        statGroup.add(Stat::ExtStallCycles, cycle - nextIssue);
         nextIssue = cycle;
     }
     lastComplete = std::max(lastComplete, cycle);
@@ -38,7 +38,7 @@ InOrderCpu::advanceTo(Cycle cycle)
 void
 InOrderCpu::retire(const Instruction &inst, Addr pc, const StepResult &step)
 {
-    statGroup.add("insts");
+    statGroup.add(Stat::Insts);
 
     // Fetch: instruction cache access; a miss stalls the front end.
     Cycle issue = nextIssue;
@@ -52,7 +52,7 @@ InOrderCpu::retire(const Instruction &inst, Addr pc, const StepResult &step)
     for (unsigned i = 0; i < numSrcs; i++) {
         const Cycle ready = regReady[srcs[i]];
         if (ready > issue) {
-            statGroup.add("raw_stall_cycles", ready - issue);
+            statGroup.add(Stat::RawStallCycles, ready - issue);
             issue = ready;
         }
     }
@@ -62,7 +62,7 @@ InOrderCpu::retire(const Instruction &inst, Addr pc, const StepResult &step)
     const bool unpipelined = inst.op == Op::DIV || inst.op == Op::REM ||
                              inst.op == Op::FDIV;
     if (unpipelined && llfuFree > issue) {
-        statGroup.add("llfu_stall_cycles", llfuFree - issue);
+        statGroup.add(Stat::LlfuStallCycles, llfuFree - issue);
         issue = llfuFree;
     }
 
@@ -76,15 +76,16 @@ InOrderCpu::retire(const Instruction &inst, Addr pc, const StepResult &step)
         latency += dlat - 1;  // traits latency already includes 1 hit cycle
         if (dlat > cfg.dcache.hitLatency) {
             blockCycles = dlat - cfg.dcache.hitLatency;
-            statGroup.add("mem_stall_cycles", blockCycles);
+            statGroup.add(Stat::MemStallCycles, blockCycles);
         }
-        statGroup.add(inst.isLoad() ? "loads"
-                                    : (inst.isStore() ? "stores" : "amos"));
+        statGroup.add(inst.isLoad()    ? Stat::Loads
+                      : inst.isStore() ? Stat::Stores
+                                       : Stat::Amos);
     }
     if (unpipelined)
         llfuFree = issue + latency;
     if (fu == FuClass::Mul || fu == FuClass::Fpu || fu == FuClass::Div)
-        statGroup.add("llfu_ops");
+        statGroup.add(Stat::LlfuOps);
 
     // Writeback.
     const RegId dst = inst.destReg();
@@ -96,16 +97,16 @@ InOrderCpu::retire(const Instruction &inst, Addr pc, const StepResult &step)
     nextIssue = issue + 1 + blockCycles;
     if (step.branchTaken) {
         nextIssue += cfg.branchPenalty;
-        statGroup.add("branch_redirects");
-        statGroup.add("branch_stall_cycles", cfg.branchPenalty);
+        statGroup.add(Stat::BranchRedirects);
+        statGroup.add(Stat::BranchStallCycles, cfg.branchPenalty);
         XTRACE(tracer, issue, TraceComp::Gpp, 0,
                TraceKind::BranchRedirect, static_cast<i64>(pc), 0);
     }
     if (inst.isBranch() || inst.isXloop())
-        statGroup.add("branches");
+        statGroup.add(Stat::Branches);
 
     lastComplete = std::max(lastComplete, issue + latency);
-    statGroup.set("cycles", lastComplete);
+    statGroup.set(Stat::Cycles, lastComplete);
 }
 
 void

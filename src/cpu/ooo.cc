@@ -76,7 +76,7 @@ void
 OooCpu::advanceTo(Cycle cycle)
 {
     if (cycle > fetchCycle) {
-        statGroup.add("ext_stall_cycles", cycle - fetchCycle);
+        statGroup.add(Stat::ExtStallCycles, cycle - fetchCycle);
         fetchCycle = cycle;
         fetchedThisCycle = 0;
     }
@@ -96,7 +96,7 @@ OooCpu::allocPort(std::vector<Cycle> &ports, Cycle earliest)
 void
 OooCpu::retire(const Instruction &inst, Addr pc, const StepResult &step)
 {
-    statGroup.add("insts");
+    statGroup.add(Stat::Insts);
 
     // --- fetch/dispatch -------------------------------------------------
     const Cycle ifetch = icache.access(pc, false);
@@ -115,13 +115,13 @@ OooCpu::retire(const Instruction &inst, Addr pc, const StepResult &step)
     const size_t iqSlot = seq % cfg.iqSize;
     Cycle dispatch = fetchCycle;
     if (robRetire[robSlot] > dispatch) {
-        statGroup.add("rob_stall_cycles", robRetire[robSlot] - dispatch);
+        statGroup.add(Stat::RobStallCycles, robRetire[robSlot] - dispatch);
         dispatch = robRetire[robSlot];
         fetchCycle = dispatch;
         fetchedThisCycle = 0;
     }
     if (iqIssue[iqSlot] > dispatch) {
-        statGroup.add("iq_stall_cycles", iqIssue[iqSlot] - dispatch);
+        statGroup.add(Stat::IqStallCycles, iqIssue[iqSlot] - dispatch);
         dispatch = iqIssue[iqSlot];
         fetchCycle = dispatch;
         fetchedThisCycle = 0;
@@ -149,7 +149,7 @@ OooCpu::retire(const Instruction &inst, Addr pc, const StepResult &step)
                 latency = 1;
                 issue = std::max(issue, it->dataReady);
                 forwarded = true;
-                statGroup.add("stl_forwards");
+                statGroup.add(Stat::StlForwards);
                 break;
             }
         }
@@ -160,7 +160,7 @@ OooCpu::retire(const Instruction &inst, Addr pc, const StepResult &step)
                 dcache.access(step.memAddr, false, retireCycle);
             latency += dlat - 1;
         }
-        statGroup.add(inst.isAmo() ? "amos" : "loads");
+        statGroup.add(inst.isAmo() ? Stat::Amos : Stat::Loads);
         if (inst.isAmo())
             latency += 2;  // conservative AMO handling on OoO GPPs
     } else if (step.memAccess) {
@@ -170,15 +170,15 @@ OooCpu::retire(const Instruction &inst, Addr pc, const StepResult &step)
         storeQueue.push_back({step.memAddr, step.memSize, issue + 1});
         if (storeQueue.size() > cfg.lsqEntries)
             storeQueue.pop_front();
-        statGroup.add("stores");
+        statGroup.add(Stat::Stores);
     } else if (unpipelined) {
         issue = std::max({operandsReady, divFree});
         divFree = issue + latency;
-        statGroup.add("llfu_ops");
+        statGroup.add(Stat::LlfuOps);
     } else {
         issue = allocPort(issuePorts, operandsReady);
         if (inst.isLlfu())
-            statGroup.add("llfu_ops");
+            statGroup.add(Stat::LlfuOps);
     }
 
     const Cycle complete = issue + latency;
@@ -190,10 +190,10 @@ OooCpu::retire(const Instruction &inst, Addr pc, const StepResult &step)
 
     // --- branch resolution ----------------------------------------------
     if (inst.isBranch() || inst.isXloop()) {
-        statGroup.add("branches");
+        statGroup.add(Stat::Branches);
         const bool correct = bpred.predictAndTrain(pc, step.branchTaken);
         if (!correct) {
-            statGroup.add("mispredicts");
+            statGroup.add(Stat::Mispredicts);
             XTRACE(tracer, retireCycle, TraceComp::Gpp, 0,
                    TraceKind::BranchRedirect, static_cast<i64>(pc), 0);
             const Cycle redirect = complete + cfg.branchPenalty;
@@ -203,7 +203,7 @@ OooCpu::retire(const Instruction &inst, Addr pc, const StepResult &step)
             }
         }
     } else if (inst.isJump()) {
-        statGroup.add("branches");  // predicted via BTB/RAS: no penalty
+        statGroup.add(Stat::Branches);  // predicted via BTB/RAS: no penalty
     }
 
     // --- in-order retire ---------------------------------------------------
@@ -218,7 +218,7 @@ OooCpu::retire(const Instruction &inst, Addr pc, const StepResult &step)
     robRetire[robSlot] = ret;
     lastRetire = std::max(lastRetire, ret);
     seq++;
-    statGroup.set("cycles", lastRetire);
+    statGroup.set(Stat::Cycles, lastRetire);
 }
 
 void

@@ -205,9 +205,9 @@ ThreadedExecutor::execute(const Program &prog, Cursor &cur, u64 budget)
     // already executed for the stat dumps to compare equal.
     auto flush = [&] {
         if (xloopCnt)
-            statGroup.add("xloop_insts", xloopCnt);
+            statGroup.add(Stat::XloopInsts, xloopCnt);
         if (xiCnt)
-            statGroup.add("xi_insts", xiCnt);
+            statGroup.add(Stat::XiInsts, xiCnt);
         cur.pc = pc;
         cur.halted = halted;
         cur.dynInsts += executed;
@@ -239,7 +239,7 @@ ThreadedExecutor::run(const Program &prog, u64 maxInsts)
     FuncResult result;
     result.dynInsts = cur.dynInsts;
     result.halted = true;
-    statGroup.set("dyn_insts", result.dynInsts);
+    statGroup.set(Stat::DynInsts, result.dynInsts);
     return result;
 }
 

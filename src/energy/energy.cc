@@ -9,12 +9,12 @@ EnergyModel::dynamicEnergy(const SysConfig &cfg,
     EnergyBreakdown out;
 
     // --- GPP -------------------------------------------------------------
-    const double insts = static_cast<double>(stats.get("insts"));
-    const double loads = static_cast<double>(stats.get("loads"));
-    const double stores = static_cast<double>(stats.get("stores"));
-    const double amos = static_cast<double>(stats.get("amos"));
-    const double branches = static_cast<double>(stats.get("branches"));
-    const double llfuOps = static_cast<double>(stats.get("llfu_ops"));
+    const double insts = static_cast<double>(stats.get(Stat::Insts));
+    const double loads = static_cast<double>(stats.get(Stat::Loads));
+    const double stores = static_cast<double>(stats.get(Stat::Stores));
+    const double amos = static_cast<double>(stats.get(Stat::Amos));
+    const double branches = static_cast<double>(stats.get(Stat::Branches));
+    const double llfuOps = static_cast<double>(stats.get(Stat::LlfuOps));
 
     double gpp = 0;
     gpp += insts * (tbl.icacheAccess + tbl.decode + 2 * tbl.rfRead +
@@ -35,21 +35,21 @@ EnergyModel::dynamicEnergy(const SysConfig &cfg,
     out.gppNj = gpp / 1000.0;
 
     // --- LPSU -------------------------------------------------------------
-    const double laneInsts = static_cast<double>(stats.get("lane_insts"));
+    const double laneInsts = static_cast<double>(stats.get(Stat::LaneInsts));
     const double laneMem =
-        static_cast<double>(stats.get("lane_mem_accesses"));
+        static_cast<double>(stats.get(Stat::LaneMemAccesses));
     const double lsqOps = static_cast<double>(
-        stats.get("lsq_loads") + stats.get("lsq_stores") +
-        stats.get("lsq_drain_stores"));
-    const double cibOps = static_cast<double>(stats.get("cib_pushes") +
-                                              stats.get("cib_consumes"));
-    const double mivs = static_cast<double>(stats.get("miv_fixups"));
+        stats.get(Stat::LsqLoads) + stats.get(Stat::LsqStores) +
+        stats.get(Stat::LsqDrainStores));
+    const double cibOps = static_cast<double>(stats.get(Stat::CibPushes) +
+                                              stats.get(Stat::CibConsumes));
+    const double mivs = static_cast<double>(stats.get(Stat::MivFixups));
     const double scanWrites =
-        static_cast<double>(stats.get("scan_inst_writes"));
+        static_cast<double>(stats.get(Stat::ScanInstWrites));
     const double scanRenames =
-        static_cast<double>(stats.get("scan_renames"));
+        static_cast<double>(stats.get(Stat::ScanRenames));
     const double scanLiveins =
-        static_cast<double>(stats.get("scan_livein_writes"));
+        static_cast<double>(stats.get(Stat::ScanLiveinWrites));
 
     double lpsu = 0;
     lpsu += laneInsts * (tbl.ibAccess + tbl.decode + 2 * tbl.rfRead +

@@ -29,6 +29,7 @@ class Parser
             else
                 mod.topLevel.push_back(parseStmt());
         }
+        checkScalarReads();
         return std::move(mod);
     }
 
@@ -163,6 +164,7 @@ class Parser
         if (t.text == "let") {
             take();
             const std::string name = expectIdent("scalar name");
+            assigned.insert(name);
             expect("=");
             ExprPtr value = parseExpr();
             expect(";");
@@ -180,6 +182,7 @@ class Parser
             expect(";");
             return store(name, std::move(index), std::move(value));
         }
+        assigned.insert(name);
         expect("=");
         ExprPtr value = parseExpr();
         expect(";");
@@ -225,6 +228,7 @@ class Parser
         loop.pragma = pragma;
         loop.hintSpecialize = hint;
         loop.iv = expectIdent("induction variable");
+        assigned.insert(loop.iv);
         expect("=");
         loop.lower = parseExpr();
         expect(";");
@@ -475,6 +479,7 @@ class Parser
             expect("]");
             return ld(name, std::move(index));
         }
+        scalarReads.push_back(&t);
         return var(name);
     }
 
@@ -487,9 +492,32 @@ class Parser
         }
     }
 
+    /** Every scalar read must name a scalar that something in the
+     *  module assigns (`=`, `let` or a loop header), never an array:
+     *  the code generator would otherwise read an unset register or
+     *  an array's base address as a value. */
+    void
+    checkScalarReads() const
+    {
+        for (const Token *t : scalarReads) {
+            if (mod.findArray(t->text)) {
+                throw FrontendError("array '" + t->text +
+                                        "' used as a scalar",
+                                    t->line, t->col);
+            }
+            if (!assigned.count(t->text)) {
+                throw FrontendError("scalar '" + t->text +
+                                        "' is never assigned",
+                                    t->line, t->col);
+            }
+        }
+    }
+
     std::vector<Token> tokens;
     size_t pos = 0;
     FrontendModule mod;
+    std::set<std::string> assigned;          ///< scalars written anywhere
+    std::vector<const Token *> scalarReads;  ///< in source order
 };
 
 } // namespace

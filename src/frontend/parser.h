@@ -36,7 +36,8 @@ struct FrontendModule
 };
 
 /** Parse @p source into a module; throws FrontendError on syntax
- *  errors, undeclared arrays, duplicate or zero-sized arrays. */
+ *  errors, undeclared arrays, duplicate or zero-sized arrays, and
+ *  scalar reads of a name nothing assigns or that names an array. */
 FrontendModule parseModule(const std::string &source);
 
 } // namespace xloops

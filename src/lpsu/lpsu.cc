@@ -1,8 +1,10 @@
 #include "lpsu/lpsu.h"
 
 #include <algorithm>
+#include <deque>
 #include <limits>
 #include <numeric>
+#include <optional>
 
 #include "common/json.h"
 #include "common/log.h"
@@ -115,32 +117,45 @@ struct CibSlot
     u32 value;
 };
 
-/** CIB channel from lane (i-1+N)%N into lane i, one queue per CIR. */
-struct Cib
+/** CIB channel from lane (i-1+N)%N into lane i: per CIR, a fixed
+ *  ring of `depth` slots, as in hardware. */
+class Cib
 {
-    unsigned depth = 4;
-    std::array<std::deque<CibSlot>, numArchRegs> perReg;
+  public:
+    explicit Cib(unsigned cib_depth)
+        : depth(cib_depth), slots(size_t{numArchRegs} * cib_depth)
+    {}
 
-    bool full(RegId r) const { return perReg[r].size() >= depth; }
+    unsigned size(RegId r) const { return count[r]; }
+    bool full(RegId r) const { return count[r] >= depth; }
 
     void
     push(RegId r, i64 iter, u32 value)
     {
         XL_ASSERT(!full(r), "CIB overflow");
-        perReg[r].push_back({iter, value});
+        slots[r * depth + (head[r] + count[r]) % depth] = {iter, value};
+        count[r]++;
     }
 
+    /** The oldest value of @p r if iteration @p iter - 1 produced it. */
     std::optional<u32>
     consume(RegId r, i64 iter)
     {
-        auto &q = perReg[r];
-        if (!q.empty() && q.front().iter == iter - 1) {
-            const u32 value = q.front().value;
-            q.pop_front();
-            return value;
-        }
-        return std::nullopt;
+        if (count[r] == 0)
+            return std::nullopt;
+        const CibSlot &oldest = slots[r * depth + head[r]];
+        if (oldest.iter != iter - 1)
+            return std::nullopt;
+        head[r] = (head[r] + 1) % depth;
+        count[r]--;
+        return oldest.value;
     }
+
+  private:
+    unsigned depth;
+    std::vector<CibSlot> slots;  ///< numArchRegs rings of depth slots
+    std::array<unsigned, numArchRegs> head{};
+    std::array<unsigned, numArchRegs> count{};
 };
 
 /** Why a context could not issue this cycle (Figure 6 categories).
@@ -148,22 +163,22 @@ struct Cib
  *  profiler, and these counters agree exactly. */
 using Stall = StallKind;
 
-const char *
+Stat
 stallCounter(Stall s)
 {
     switch (s) {
-      case Stall::Idle: return "lane_idle_cycles";
-      case Stall::Raw: return "lane_raw_stall_cycles";
-      case Stall::Cir: return "lane_cir_stall_cycles";
-      case Stall::CibFull: return "lane_cib_stall_cycles";
-      case Stall::MemPort: return "lane_memport_stall_cycles";
-      case Stall::Llfu: return "lane_llfu_stall_cycles";
-      case Stall::LsqFull: return "lane_lsq_stall_cycles";
-      case Stall::CommitWait: return "lane_commit_stall_cycles";
-      case Stall::AmoWait: return "lane_amo_stall_cycles";
+      case Stall::Idle: return Stat::LaneIdleCycles;
+      case Stall::Raw: return Stat::LaneRawStallCycles;
+      case Stall::Cir: return Stat::LaneCirStallCycles;
+      case Stall::CibFull: return Stat::LaneCibStallCycles;
+      case Stall::MemPort: return Stat::LaneMemportStallCycles;
+      case Stall::Llfu: return Stat::LaneLlfuStallCycles;
+      case Stall::LsqFull: return Stat::LaneLsqStallCycles;
+      case Stall::CommitWait: return Stat::LaneCommitStallCycles;
+      case Stall::AmoWait: return Stat::LaneAmoStallCycles;
       case Stall::None: break;
     }
-    return "lane_other_stall_cycles";
+    return Stat::LaneOtherStallCycles;
 }
 
 /** One hardware thread context within a lane. */
@@ -329,12 +344,12 @@ class LpsuEngine
     void injectFaultsThisCycle();
     MachineSnapshot snapshotState(const std::string &context) const;
     bool llfuRequest(const Instruction &inst);
-    Cib &cibIn(unsigned lane_idx) { return cibs[lane_idx]; }
     Cib &cibOut(unsigned lane_idx)
     {
         return cibs[(lane_idx + 1) % cfg.lanes];
     }
     void pushCir(unsigned lane_idx, Context &ctx, RegId reg, u32 value);
+    std::optional<u32> consumeCir(unsigned lane_idx, RegId reg, i64 iter);
 
     const LpsuConfig &cfg;
     MainMemory &mem;
@@ -361,6 +376,7 @@ class LpsuEngine
 
     std::vector<Lane> lanes;
     std::vector<Cib> cibs;
+    u64 cibValues = 0;  ///< values buffered across all CIBs
     std::vector<Cycle> llfuFree;
     unsigned memPortsLeft = 0;
     Cycle cycle = 0;
@@ -399,7 +415,7 @@ LpsuEngine::LpsuEngine(const LpsuConfig &config, MainMemory &memory,
       tr(tracer), prof(loop_profile), absBase(abs_base),
       laneObs(cfg.lanes),
       startIdx(start_idx), bound(initial_bound), maxIters(max_iters),
-      cibs(cfg.lanes), llfuFree(cfg.llfus, 0),
+      cibs(cfg.lanes, Cib(cfg.cibDepth)), llfuFree(cfg.llfus, 0),
       nextDispatch(start_idx), nextToCommit(start_idx)
 {
     const bool mt = cfg.multithreading && si.pattern == LoopPattern::UC;
@@ -418,8 +434,6 @@ LpsuEngine::LpsuEngine(const LpsuConfig &config, MainMemory &memory,
         }
         lane.laneNextIter.push_back(startIdx + l);
     }
-    for (auto &cib : cibs)
-        cib.depth = cfg.cibDepth;
     seedCibs();
 }
 
@@ -442,9 +456,11 @@ LpsuEngine::seedCibs()
     // Iteration startIdx (on lane 0) consumes values produced by the
     // GPP's iteration startIdx-1: they are the live-in CIR values.
     for (unsigned r = 1; r < numArchRegs; r++) {
-        if (si.isCir[r])
-            cibIn(0).push(static_cast<RegId>(r), startIdx - 1,
-                          liveIns.get(static_cast<RegId>(r)));
+        if (si.isCir[r]) {
+            cibs[0].push(static_cast<RegId>(r), startIdx - 1,
+                         liveIns.get(static_cast<RegId>(r)));
+            cibValues++;
+        }
     }
 }
 
@@ -510,7 +526,7 @@ LpsuEngine::activate(Lane &lane, Context &ctx, i64 iter)
                          static_cast<u32>(si.mivInc[r] * delta));
         ctx.mivLastIter[r] = iter;
         ctx.regReady[r] = cycle + 1;
-        stats.add("miv_fixups");
+        stats.add(Stat::MivFixups);
     }
 
     ctx.snapshot = ctx.regs;
@@ -519,26 +535,37 @@ LpsuEngine::activate(Lane &lane, Context &ctx, i64 iter)
     ctx.pendingReplay = false;
     XTRACE(tr, absCycle(), TraceComp::Lane, ctx.laneIdx,
            TraceKind::IterBegin, iter, 0);
-    stats.add("idq_pops");
+    stats.add(Stat::IdqPops);
 }
 
 void
 LpsuEngine::pushCir(unsigned lane_idx, Context &ctx, RegId reg, u32 value)
 {
     cibOut(lane_idx).push(reg, ctx.iter, value);
+    cibValues++;
     ctx.cirPushed[reg] = true;
     finalCir[reg] = value;
     finalCirValid[reg] = true;
-    stats.add("cib_pushes");
+    stats.add(Stat::CibPushes);
     XTRACE(tr, absCycle(), TraceComp::Cib, lane_idx, TraceKind::CibPush,
            static_cast<i64>(reg), ctx.iter);
+}
+
+/** Take lane @p lane_idx's inbound value of @p reg for @p iter. */
+std::optional<u32>
+LpsuEngine::consumeCir(unsigned lane_idx, RegId reg, i64 iter)
+{
+    const std::optional<u32> value = cibs[lane_idx].consume(reg, iter);
+    if (value)
+        cibValues--;
+    return value;
 }
 
 void
 LpsuEngine::completeIteration(Context &ctx)
 {
     const Cycle iterDur = cycle >= ctx.iterStart ? cycle - ctx.iterStart : 0;
-    stats.sample("iter_cycles", iterDur);
+    stats.sample(Stat::IterCycles, iterDur);
     if (prof)
         prof->iterCycles.sample(iterDur);
     XTRACE(tr, absCycle(), TraceComp::Lane, ctx.laneIdx, TraceKind::IterEnd,
@@ -562,7 +589,7 @@ LpsuEngine::completeIteration(Context &ctx)
     // strictly ordered and hit the max() trivially.
     if (orderedDispatch())
         nextToCommit = std::max(nextToCommit, ctx.iter + 1);
-    stats.add("iterations");
+    stats.add(Stat::Iterations);
 }
 
 void
@@ -578,7 +605,7 @@ LpsuEngine::broadcastStore(Addr addr, unsigned size, i64 store_iter)
         if (delay > 0) {
             pendingBroadcasts.push_back(
                 {addr, size, store_iter, cycle + delay});
-            stats.add("injected_broadcast_delays");
+            stats.add(Stat::InjectedBroadcastDelays);
             return;
         }
     }
@@ -598,7 +625,7 @@ LpsuEngine::flushPendingBroadcasts()
 void
 LpsuEngine::deliverBroadcast(Addr addr, unsigned size, i64 store_iter)
 {
-    stats.add("store_broadcasts");
+    stats.add(Stat::StoreBroadcasts);
     XTRACE(tr, absCycle(), TraceComp::Lmu, 0, TraceKind::StoreBroadcast,
            static_cast<i64>(addr), store_iter);
     i64 firstSquashed = std::numeric_limits<i64>::max();
@@ -617,7 +644,7 @@ LpsuEngine::deliverBroadcast(Addr addr, unsigned size, i64 store_iter)
                     squash(ctx);
                     firstSquashed = std::min(firstSquashed, ctx.iter);
                 } else {
-                    stats.add("squashes_filtered");
+                    stats.add(Stat::SquashesFiltered);
                 }
             } else {
                 squash(ctx);
@@ -634,7 +661,7 @@ LpsuEngine::deliverBroadcast(Addr addr, unsigned size, i64 store_iter)
             for (auto &ctx : lane.ctxs) {
                 if (ctx.active && ctx.iter > firstSquashed) {
                     squash(ctx);
-                    stats.add("cascade_squashes");
+                    stats.add(Stat::CascadeSquashes);
                 }
             }
         }
@@ -645,10 +672,10 @@ void
 LpsuEngine::squash(Context &ctx)
 {
     squashes++;
-    stats.add("squashes");
-    stats.add("squash_cycles", cycle > ctx.iterStart
-                                   ? cycle - ctx.iterStart : 0);
-    stats.add("squashed_insts", ctx.iterInsts);
+    stats.add(Stat::Squashes);
+    stats.add(Stat::SquashCycles,
+              cycle > ctx.iterStart ? cycle - ctx.iterStart : 0);
+    stats.add(Stat::SquashedInsts, ctx.iterInsts);
     if (prof)
         prof->squashes++;
     XTRACE(tr, absCycle(), TraceComp::Lane, ctx.laneIdx, TraceKind::Squash,
@@ -688,7 +715,7 @@ LpsuEngine::noteSquash()
         return;
     squashWindow.clear();
     stormCount++;
-    stats.add("lpsu_storm_serializations");
+    stats.add(Stat::LpsuStormSerializations);
     const unsigned shift = std::min(stormCount - 1, 8u);
     serializedUntil = cycle + (cfg.stormBackoffCycles << shift);
     XTRACE(tr, absCycle(), TraceComp::Lmu, 0, TraceKind::StormSerialize,
@@ -709,7 +736,7 @@ LpsuEngine::beginStormFallback()
 {
     stormFallbackPending = false;
     stormFellBack = true;
-    stats.add("lpsu_fallbacks");
+    stats.add(Stat::LpsuFallbacks);
     if (prof)
         prof->fallbacks++;
     i64 cap = nextToCommit;
@@ -723,7 +750,7 @@ LpsuEngine::beginStormFallback()
                 ctx.active = false;
                 ctx.bodyDone = false;
                 ctx.lsq.clear();
-                stats.add("cancelled_iterations");
+                stats.add(Stat::CancelledIterations);
             }
         }
     }
@@ -755,7 +782,7 @@ LpsuEngine::capDispatchForMigration()
     if (cap >= effBound())
         return;  // nothing left to cut off
     dispatchCap = cap;
-    stats.add("injected_migrations");
+    stats.add(Stat::InjectedMigrations);
     XTRACE(tr, absCycle(), TraceComp::Lmu, 0, TraceKind::Migration, cap, 0);
 }
 
@@ -782,7 +809,7 @@ LpsuEngine::injectFaultsThisCycle()
         for (auto &ctx : lane.ctxs) {
             if (ctx.active && ctx.iter != nextToCommit &&
                 inj.forceSquash()) {
-                stats.add("injected_squashes");
+                stats.add(Stat::InjectedSquashes);
                 XTRACE(tr, absCycle(), TraceComp::Lmu, 0,
                        TraceKind::FaultInject, ctx.iter, 0);
                 squash(ctx);
@@ -826,11 +853,10 @@ LpsuEngine::snapshotState(const std::string &context) const
     }
     for (unsigned l = 0; l < cibs.size(); l++) {
         for (unsigned r = 1; r < numArchRegs; r++) {
-            if (!cibs[l].perReg[r].empty()) {
-                s.occupancy.emplace_back(
-                    strf("cib[lane", l, "][r", r, "]"),
-                    cibs[l].perReg[r].size());
-            }
+            const unsigned size = cibs[l].size(static_cast<RegId>(r));
+            if (size > 0)
+                s.occupancy.emplace_back(strf("cib[lane", l, "][r", r, "]"),
+                                         size);
         }
     }
     s.occupancy.emplace_back("pending_broadcasts",
@@ -868,8 +894,8 @@ LpsuEngine::drainUnreadCirs(unsigned lane_idx, Context &ctx, Stall &stall)
     for (unsigned r = 1; r < numArchRegs; r++) {
         if (!si.isCir[r] || ctx.cirConsumed[r])
             continue;
-        const auto value = cibIn(lane_idx).consume(static_cast<RegId>(r),
-                                                   ctx.iter);
+        const auto value = consumeCir(lane_idx, static_cast<RegId>(r),
+                                      ctx.iter);
         if (!value) {
             stall = Stall::Cir;
             return false;
@@ -879,7 +905,7 @@ LpsuEngine::drainUnreadCirs(unsigned lane_idx, Context &ctx, Stall &stall)
         if (!ctx.cirWritten[r])
             ctx.regs.set(static_cast<RegId>(r), *value);
         ctx.cirConsumed[r] = true;
-        stats.add("cib_consumes");
+        stats.add(Stat::CibConsumes);
         XTRACE(tr, absCycle(), TraceComp::Cib, lane_idx,
                TraceKind::CibConsume, static_cast<i64>(r), ctx.iter);
     }
@@ -907,7 +933,7 @@ LpsuEngine::finishBody(unsigned lane_idx, Context &ctx, Stall &stall)
             const LsqAccess st = ctx.lsq.popOldestStore();
             mem.write(st.addr, st.size, st.value);
             dcache.access(st.addr, true);
-            stats.add("lsq_drain_stores");
+            stats.add(Stat::LsqDrainStores);
             XTRACE(tr, absCycle(), TraceComp::Lsq, lane_idx,
                    TraceKind::LsqDrain, static_cast<i64>(st.addr), ctx.iter);
             broadcastStore(st.addr, st.size, ctx.iter);
@@ -942,7 +968,7 @@ LpsuEngine::finishBody(unsigned lane_idx, Context &ctx, Stall &stall)
                         other.active = false;
                         other.bodyDone = false;
                         other.lsq.clear();
-                        stats.add("cancelled_iterations");
+                        stats.add(Stat::CancelledIterations);
                     }
                 }
             }
@@ -1002,14 +1028,14 @@ LpsuEngine::execInst(unsigned lane_idx, Context &ctx)
                 continue;
             if (ctx.cirWritten[r])
                 continue;  // body wrote first: use its own value
-            const auto value = cibIn(lane_idx).consume(r, ctx.iter);
+            const auto value = consumeCir(lane_idx, r, ctx.iter);
             if (!value)
                 return Stall::Cir;
             ctx.regs.set(r, *value);
             ctx.snapshot.set(r, *value);
             ctx.cirConsumed[r] = true;
             ctx.regReady[r] = cycle;
-            stats.add("cib_consumes");
+            stats.add(Stat::CibConsumes);
         }
     }
 
@@ -1086,13 +1112,13 @@ LpsuEngine::execInst(unsigned lane_idx, Context &ctx)
         ExecCore::step(inst, ctx.pc, ctx.regs, laneMem, cycle);
     laneInsts++;
     ctx.iterInsts++;
-    stats.add("lane_insts");
-    stats.add("ib_accesses");
+    stats.add(Stat::LaneInsts);
+    stats.add(Stat::IbAccesses);
     bool lsqOverflow = laneMem.overflowed;
     if (spec && inst.isLoad()) {
         if (ctx.lsq.pushLoad(step.memAddr, step.memSize,
                              laneMem.lastLoadValue))
-            stats.add("lsq_loads");
+            stats.add(Stat::LsqLoads);
         else
             lsqOverflow = true;
     }
@@ -1103,13 +1129,13 @@ LpsuEngine::execInst(unsigned lane_idx, Context &ctx)
         // and retry instead of aborting the simulation. After a few
         // retries the context holds until it is the committing
         // iteration, which needs no buffering (see tickContext).
-        stats.add("lsq_overflow_squashes");
+        stats.add(Stat::LsqOverflowSquashes);
         squash(ctx);
         ctx.overflowSquashes++;
         return Stall::LsqFull;
     }
     if (spec && inst.isStore())
-        stats.add("lsq_stores");
+        stats.add(Stat::LsqStores);
 
     // 6. Timing.
     Cycle latency = inst.traits().latency;
@@ -1120,11 +1146,11 @@ LpsuEngine::execInst(unsigned lane_idx, Context &ctx)
         if (inj.enabled()) {
             const Cycle jitter = inj.memJitter();
             if (jitter > 0)
-                stats.add("injected_jitter_cycles", jitter);
+                stats.add(Stat::InjectedJitterCycles, jitter);
             dlat += jitter;
         }
         latency = 1 + dlat;  // AGEN + memory
-        stats.add("lane_mem_accesses");
+        stats.add(Stat::LaneMemAccesses);
     }
     if (dst < numArchRegs) {
         ctx.regReady[dst] = cycle + latency;
@@ -1143,7 +1169,7 @@ LpsuEngine::execInst(unsigned lane_idx, Context &ctx)
         const i64 newBound = static_cast<i32>(ctx.regs.get(si.boundReg));
         if (newBound > bound) {
             bound = newBound;
-            stats.add("bound_updates");
+            stats.add(Stat::BoundUpdates);
         }
     }
 
@@ -1201,7 +1227,7 @@ LpsuEngine::tickContext(unsigned lane_idx, Context &ctx)
         const LsqAccess st = ctx.lsq.popOldestStore();
         mem.write(st.addr, st.size, st.value);
         dcache.access(st.addr, true);
-        stats.add("lsq_drain_stores");
+        stats.add(Stat::LsqDrainStores);
         XTRACE(tr, absCycle(), TraceComp::Lsq, lane_idx,
                TraceKind::LsqDrain, static_cast<i64>(st.addr), ctx.iter);
         broadcastStore(st.addr, st.size, ctx.iter);
@@ -1258,15 +1284,11 @@ LpsuEngine::observeOccupancy()
 {
     if (!prof)
         return;
-    u64 cibOcc = 0;
-    for (const auto &cib : cibs)
-        for (unsigned r = 1; r < numArchRegs; r++)
-            cibOcc += cib.perReg[r].size();
     u64 lsqOcc = 0;
     for (const auto &lane : lanes)
         for (const auto &ctx : lane.ctxs)
             lsqOcc += ctx.lsq.numLoads() + ctx.lsq.numStores();
-    prof->cibOccupancy.sample(cibOcc);
+    prof->cibOccupancy.sample(cibValues);
     prof->lsqOccupancy.sample(lsqOcc);
 }
 
@@ -1368,7 +1390,7 @@ LpsuEngine::run()
                         dualEligible = false;
                         if (execInst(laneIdx, ctx) != Stall::None)
                             break;
-                        stats.add("lane_multi_issues");
+                        stats.add(Stat::LaneMultiIssues);
                     }
                     break;
                 }
@@ -1376,7 +1398,7 @@ LpsuEngine::run()
                     firstStall = stall;
             }
             if (progressed || sawBusy) {
-                stats.add("lane_exec_cycles");
+                stats.add(Stat::LaneExecCycles);
                 observeLaneCycle(laneIdx, Stall::None);
             } else {
                 stats.add(stallCounter(firstStall));
@@ -1436,7 +1458,7 @@ LpsuEngine::run()
         liveIns.set(si.boundReg, static_cast<u32>(res.finalBound));
     }
     liveIns.set(si.idxReg, static_cast<u32>(res.finalIdx));
-    stats.add("lpsu_exec_cycles", res.execCycles);
+    stats.add(Stat::LpsuExecCycles, res.execCycles);
     return res;
 }
 
@@ -1468,8 +1490,8 @@ Lpsu::execute(const Program &prog, Addr xloopPc, RegFile &liveIns,
     if (si.body.size() > cfg.ibEntries) {
         res.fellBack = true;
         res.reason = FallbackReason::BodyTooLarge;
-        statGroup.add("ib_fallbacks");
-        statGroup.add("lpsu_fallbacks");
+        statGroup.add(Stat::IbFallbacks);
+        statGroup.add(Stat::LpsuFallbacks);
         if (prof)
             prof->fallbacks++;
         return res;
@@ -1501,11 +1523,11 @@ Lpsu::execute(const Program &prog, Addr xloopPc, RegFile &liveIns,
     Cycle scan = cfg.scanOverheadCycles + si.numLiveIns;
     if (residentPc != xloopPc) {
         scan += static_cast<Cycle>(si.body.size()) * cfg.scanCyclesPerInst;
-        statGroup.add("scan_inst_writes", si.body.size());
-        statGroup.add("scan_renames", si.body.size());
+        statGroup.add(Stat::ScanInstWrites, si.body.size());
+        statGroup.add(Stat::ScanRenames, si.body.size());
     }
-    statGroup.add("scan_livein_writes", si.numLiveIns);
-    statGroup.add("scans");
+    statGroup.add(Stat::ScanLiveinWrites, si.numLiveIns);
+    statGroup.add(Stat::Scans);
     residentPc = xloopPc;
 
     if (prof) {
@@ -1527,11 +1549,11 @@ Lpsu::execute(const Program &prog, Addr xloopPc, RegFile &liveIns,
         const RegId reg = static_cast<RegId>(c >> 8);
         const u32 bit = c & 31;
         liveIns.set(reg, liveIns.get(reg) ^ (1u << bit));
-        statGroup.add("arch_corruptions");
+        statGroup.add(Stat::ArchCorruptions);
     }
 
     res.scanCycles = scan;
-    statGroup.add("lpsu_scan_cycles", scan);
+    statGroup.add(Stat::LpsuScanCycles, scan);
     return res;
 }
 

@@ -29,9 +29,6 @@
 #define XLOOPS_LPSU_LPSU_H
 
 #include <array>
-#include <deque>
-#include <map>
-#include <optional>
 #include <vector>
 
 #include "asm/program.h"

@@ -30,7 +30,7 @@ L1Cache::access(Addr addr, bool is_write)
         if (line.valid && line.tag == tag) {
             line.lruStamp = stamp;
             line.dirty |= is_write;
-            statGroup.add(is_write ? "write_hits" : "read_hits");
+            statGroup.add(is_write ? Stat::WriteHits : Stat::ReadHits);
             return cfg.hitLatency;
         }
     }
@@ -47,9 +47,9 @@ L1Cache::access(Addr addr, bool is_write)
     }
     Cycle latency = cfg.hitLatency + cfg.missPenalty;
     if (victim->valid) {
-        statGroup.add("evictions");
+        statGroup.add(Stat::Evictions);
         if (victim->dirty) {
-            statGroup.add("writebacks");
+            statGroup.add(Stat::Writebacks);
             latency += 2;  // occupy the fill port briefly for writeback
         }
     }
@@ -57,7 +57,7 @@ L1Cache::access(Addr addr, bool is_write)
     victim->dirty = is_write;
     victim->tag = tag;
     victim->lruStamp = stamp;
-    statGroup.add(is_write ? "write_misses" : "read_misses");
+    statGroup.add(is_write ? Stat::WriteMisses : Stat::ReadMisses);
     return latency;
 }
 

@@ -71,9 +71,9 @@ SampledSimulation::stepDetailed(const DecodedProgram &dec, u64 budget)
         cur.dynInsts++;
         done++;
         if (inst.isXloop())
-            exec.stats().add("xloop_insts");
+            exec.stats().add(Stat::XloopInsts);
         if (inst.isXi())
-            exec.stats().add("xi_insts");
+            exec.stats().add(Stat::XiInsts);
         if (step.halted) {
             cur.halted = true;
             break;
@@ -144,7 +144,7 @@ SampledSimulation::run(const Program &prog)
 
     r.halted = cur.halted;
     r.totalInsts = cur.dynInsts;
-    exec.stats().set("dyn_insts", cur.dynInsts);
+    exec.stats().set(Stat::DynInsts, cur.dynInsts);
 
     if (r.windows > 0) {
         double sum = 0.0;

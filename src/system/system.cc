@@ -354,9 +354,9 @@ XloopsSystem::run(const Program &prog, ExecMode mode, u64 maxInsts,
     result.stats.merge(gpp->stats());
     if (lpsu)
         result.stats.merge(lpsu->stats());
-    result.stats.set("gpp_insts", result.gppInsts);
-    result.stats.set("lane_insts_total", result.laneInsts);
-    result.stats.set("cycles_total", result.cycles);
+    result.stats.set(Stat::GppInsts, result.gppInsts);
+    result.stats.set(Stat::LaneInstsTotal, result.laneInsts);
+    result.stats.set(Stat::CyclesTotal, result.cycles);
     return result;
 }
 

@@ -234,6 +234,35 @@ TEST(AssemblerErrors, InstructionInDataSection)
     EXPECT_THROW(assemble("  .data\n  add r1, r2, r3\n"), FatalError);
 }
 
+TEST(AssemblerErrors, ImmediateOutOfRangeNamesTheLine)
+{
+    // Each operand is range-checked before it narrows to its field:
+    // an unsigned 19-bit lui, a signed 14-bit addi, and any literal
+    // that would not even fit the parser's i64.
+    for (const char *bad :
+         {"lui r1, 600000", "lui r1, -1", "lui r1, 524288",
+          "addi r1, r0, 4294967297", "addi r1, r0, 8192",
+          "addi r1, r0, -8193", "lw r1, 9000(r2)", "sw r1, -9000(r2)",
+          "addiu.xi r1, 8192", "li r1, 4294967296",
+          "addi r1, r0, 99999999999999999999"}) {
+        try {
+            assemble(std::string("  nop\n  ") + bad + "\n  halt\n");
+            ADD_FAILURE() << "accepted: " << bad;
+        } catch (const FatalError &error) {
+            EXPECT_NE(std::string(error.what()).find("asm line 2: "),
+                      std::string::npos)
+                << error.what();
+        }
+    }
+    // The edges of each field still assemble.
+    const Program prog = assemble(
+        "  lui r1, 0\n  lui r1, 524287\n  addi r1, r0, 8191\n"
+        "  addi r1, r0, -8192\n  li r1, 4294967295\n"
+        "  li r1, -2147483648\n  halt\n");
+    EXPECT_EQ(instAt(prog, 1).imm, 524287);
+    EXPECT_EQ(instAt(prog, 3).imm, -8192);
+}
+
 TEST(AssemblerErrors, MessageIncludesLineNumber)
 {
     try {

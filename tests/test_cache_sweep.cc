@@ -61,7 +61,7 @@ TEST_P(CacheSweep, TwiceCapacityThrashes)
     for (u32 pass = 0; pass < 2; pass++)
         for (u32 l = 0; l < lines; l++)
             cache.access(l * cfg().lineBytes, false);
-    const u64 misses = cache.stats().get("read_misses");
+    const u64 misses = cache.stats().get(Stat::ReadMisses);
     EXPECT_EQ(misses, 2ull * lines);
 }
 
@@ -76,7 +76,7 @@ TEST_P(CacheSweep, ConflictSetBehaviour)
     for (u32 w = 0; w < cfg().assoc; w++)
         EXPECT_EQ(cache.access(w * setStride, false), cfg().hitLatency);
     cache.access(cfg().assoc * setStride, false);
-    EXPECT_EQ(cache.stats().get("evictions"), 1u);
+    EXPECT_EQ(cache.stats().get(Stat::Evictions), 1u);
 }
 
 INSTANTIATE_TEST_SUITE_P(

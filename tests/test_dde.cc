@@ -93,7 +93,7 @@ TEST(DataDepExit, SpecializedMatchesSerialAndCancelsOverrun)
         if (hit >= 5) {
             // Lanes ran past the exit; those iterations were
             // cancelled before committing anything.
-            EXPECT_GT(sys.lpsuModel().stats().get("cancelled_iterations"),
+            EXPECT_GT(sys.lpsuModel().stats().get(Stat::CancelledIterations),
                       0u);
         }
     }

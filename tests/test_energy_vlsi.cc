@@ -31,10 +31,10 @@ TEST(EnergyModel, OooCostsMorePerInstructionThanInOrder)
 {
     EnergyModel model;
     StatGroup stats;
-    stats.set("insts", 1000);
-    stats.set("loads", 100);
-    stats.set("stores", 50);
-    stats.set("branches", 100);
+    stats.set(Stat::Insts, 1000);
+    stats.set(Stat::Loads, 100);
+    stats.set(Stat::Stores, 50);
+    stats.set(Stat::Branches, 100);
     const double io = model.dynamicEnergy(configs::io(), stats).totalNj();
     const double o2 = model.dynamicEnergy(configs::ooo2(), stats).totalNj();
     const double o4 = model.dynamicEnergy(configs::ooo4(), stats).totalNj();
@@ -46,9 +46,9 @@ TEST(EnergyModel, LaneInstructionsCheaperThanGppInstructions)
 {
     EnergyModel model;
     StatGroup gppStats;
-    gppStats.set("insts", 1000);
+    gppStats.set(Stat::Insts, 1000);
     StatGroup laneStats;
-    laneStats.set("lane_insts", 1000);
+    laneStats.set(Stat::LaneInsts, 1000);
     const double gpp =
         model.dynamicEnergy(configs::io(), gppStats).totalNj();
     const double lane =

@@ -315,7 +315,7 @@ TEST(Functional, SumLoopTraditional)
     const FuncResult result = exec.run(prog);
     EXPECT_TRUE(result.halted);
     EXPECT_EQ(mem.readWord(prog.symbol("out")), 45u);
-    EXPECT_EQ(exec.stats().get("xloop_insts"), 10u);
+    EXPECT_EQ(exec.stats().get(Stat::XloopInsts), 10u);
 }
 
 TEST(Functional, VectorAddWithXi)

@@ -155,9 +155,9 @@ TEST(SquashStorm, SerializesThenFallsBackAndStaysCorrect)
     DualRun run(stormSrc, cfg, ExecMode::Specialized);
 
     const StatGroup &ls = run.sys.lpsuModel().stats();
-    EXPECT_GE(ls.get("lpsu_storm_serializations"), 1u)
+    EXPECT_GE(ls.get(Stat::LpsuStormSerializations), 1u)
         << "the storm detector never fired";
-    EXPECT_GE(ls.get("lpsu_fallbacks"), 1u)
+    EXPECT_GE(ls.get(Stat::LpsuFallbacks), 1u)
         << "the LPSU never degraded to traditional execution";
 
     // Architectural state is exact despite serialize + mid-loop
@@ -180,8 +180,8 @@ TEST(SquashStorm, SerializationAloneRecoversWithoutFallback)
     DualRun run(stormSrc, cfg, ExecMode::Specialized);
 
     const StatGroup &ls = run.sys.lpsuModel().stats();
-    EXPECT_GE(ls.get("lpsu_storm_serializations"), 1u);
-    EXPECT_EQ(ls.get("lpsu_fallbacks"), 0u);
+    EXPECT_GE(ls.get(Stat::LpsuStormSerializations), 1u);
+    EXPECT_EQ(ls.get(Stat::LpsuFallbacks), 0u);
     run.expectRegionMatchesGolden("acc", 1);
     run.expectRegionMatchesGolden("out", 160);
 }
@@ -199,7 +199,7 @@ TEST(SquashStorm, SystemCooldownRunsLoopTraditionally)
     DualRun run(stormSrc, cfg, ExecMode::Specialized);
     run.expectRegionMatchesGolden("acc", 1);
     run.expectRegionMatchesGolden("out", 160);
-    EXPECT_GE(run.sys.lpsuModel().stats().get("lpsu_fallbacks"), 1u);
+    EXPECT_GE(run.sys.lpsuModel().stats().get(Stat::LpsuFallbacks), 1u);
 }
 
 // --------------------------------------------------------------------
@@ -285,12 +285,12 @@ TEST(Injection, SameSeedReproducesCyclesAndStats)
     DualRun a(stormSrc, cfg, ExecMode::Specialized);
     DualRun b(stormSrc, cfg, ExecMode::Specialized);
     EXPECT_EQ(a.result.cycles, b.result.cycles);
-    for (const char *stat :
-         {"squashes", "injected_squashes", "injected_jitter_cycles",
-          "injected_broadcast_delays", "iterations", "lane_insts"}) {
+    for (const Stat stat :
+         {Stat::Squashes, Stat::InjectedSquashes, Stat::InjectedJitterCycles,
+          Stat::InjectedBroadcastDelays, Stat::Iterations, Stat::LaneInsts}) {
         EXPECT_EQ(a.sys.lpsuModel().stats().get(stat),
                   b.sys.lpsuModel().stats().get(stat))
-            << stat;
+            << statInfo(stat).name;
     }
 }
 
@@ -317,8 +317,8 @@ TEST(Injection, InjectedSquashesAreCounted)
     DualRun run(src, cfg, ExecMode::Specialized);
     run.expectRegionMatchesGolden("out", 128);
     const StatGroup &ls = run.sys.lpsuModel().stats();
-    EXPECT_GT(ls.get("injected_squashes"), 0u);
-    EXPECT_GE(ls.get("squashes"), ls.get("injected_squashes"));
+    EXPECT_GT(ls.get(Stat::InjectedSquashes), 0u);
+    EXPECT_GE(ls.get(Stat::Squashes), ls.get(Stat::InjectedSquashes));
 }
 
 // --------------------------------------------------------------------

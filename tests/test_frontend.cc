@@ -156,6 +156,42 @@ TEST(Parser, RejectsBadInput)
                  FrontendError);
 }
 
+TEST(Parser, ScalarReadsMustNameAssignedScalars)
+{
+    auto errorAt = [](const std::string &src) -> std::string {
+        try {
+            parseModule(src);
+        } catch (const FrontendError &e) {
+            return e.what();
+        }
+        return "accepted";
+    };
+    // A scalar nothing assigns, used as an index.
+    EXPECT_NE(errorAt("array A[4];\narray B[4];\n"
+                      "for (i = 0; i < 4; i++) { B[l] = A[i]; }\n")
+                  .find("3:29: scalar 'l' is never assigned"),
+              std::string::npos)
+        << errorAt("array A[4];\narray B[4];\n"
+                   "for (i = 0; i < 4; i++) { B[l] = A[i]; }\n");
+    // An array read as a scalar, in a loop header.
+    EXPECT_NE(errorAt("array B[4];\n"
+                      "for (i = B; i < 4; i++) { B[i] = 0; }\n")
+                  .find("2:10: array 'B' used as a scalar"),
+              std::string::npos);
+    EXPECT_THROW(parseModule("let x = y;\n"), FrontendError);
+    EXPECT_THROW(parseModule("array A[2];\nlet x = A + 1;\n"),
+                 FrontendError);
+    // Assigned anywhere in the module counts, before or after the
+    // read, by `=`, `let` or a loop header.
+    EXPECT_NO_THROW(parseModule("array B[4];\n"
+                                "for (i = 0; i < n; i++) { B[i] = s; }\n"
+                                "let n = 4;\ns = 1;\n"));
+    EXPECT_NO_THROW(parseModule("array B[4];\n"
+                                "for (i = 0; i < 4; i++) {\n"
+                                "  for (j = i; j < 4; j++) { B[j] = i; }\n"
+                                "}\n"));
+}
+
 TEST(Parser, BreakWhenAndDynamicBound)
 {
     const FrontendModule m = parseModule(

@@ -79,7 +79,7 @@ TEST(InOrder, LoadUseStalls)
         "d: .word 5\n",
         independent);
     EXPECT_GT(dep, indep);
-    EXPECT_GT(dependent.stats().get("raw_stall_cycles"), 0u);
+    EXPECT_GT(dependent.stats().get(Stat::RawStallCycles), 0u);
 }
 
 TEST(InOrder, TakenBranchCostsRedirect)
@@ -96,7 +96,7 @@ TEST(InOrder, TakenBranchCostsRedirect)
         "  halt\n",
         cpu);
     EXPECT_GE(cycles, 100u * 4u - 20u);
-    EXPECT_EQ(cpu.stats().get("branch_redirects"), 99u);
+    EXPECT_EQ(cpu.stats().get(Stat::BranchRedirects), 99u);
 }
 
 TEST(InOrder, DivIsUnpipelined)
@@ -108,7 +108,7 @@ TEST(InOrder, DivIsUnpipelined)
     src += "  halt\n";
     const Cycle cycles = cyclesFor(src, cpu);
     EXPECT_GE(cycles, 10u * 12u);
-    EXPECT_GT(cpu.stats().get("llfu_stall_cycles"), 0u);
+    EXPECT_GT(cpu.stats().get(Stat::LlfuStallCycles), 0u);
 }
 
 TEST(InOrder, DcacheMissesAddLatency)
@@ -128,7 +128,7 @@ TEST(InOrder, DcacheMissesAddLatency)
         "buf: .space 65536\n",
         cpu);
     EXPECT_GT(cold, 2048u * 20u);  // dominated by miss penalty
-    EXPECT_GT(cpu.dcacheModel().stats().get("read_misses"), 2000u);
+    EXPECT_GT(cpu.dcacheModel().stats().get(Stat::ReadMisses), 2000u);
 }
 
 TEST(InOrder, AdvanceToAddsExternalStall)
@@ -136,7 +136,7 @@ TEST(InOrder, AdvanceToAddsExternalStall)
     InOrderCpu cpu(ioCfg());
     cpu.advanceTo(1000);
     EXPECT_GE(cpu.now(), 1000u);
-    EXPECT_EQ(cpu.stats().get("ext_stall_cycles"), 1000u);
+    EXPECT_EQ(cpu.stats().get(Stat::ExtStallCycles), 1000u);
 }
 
 TEST(Gshare, LearnsLoopBranch)
@@ -242,7 +242,7 @@ TEST(Ooo, MispredictPenaltyHurtsDataDependentBranches)
         "  halt\n";
     OooCpu ooo(oooCfg(4));
     const Cycle cycles = cyclesFor(src, ooo);
-    EXPECT_GT(ooo.stats().get("mispredicts"), 50u);
+    EXPECT_GT(ooo.stats().get(Stat::Mispredicts), 50u);
     EXPECT_GT(cycles, 512u);  // mispredicts keep IPC below width
 }
 
@@ -262,7 +262,7 @@ TEST(Ooo, StoreToLoadForwardingAvoidsCachePenalty)
         "d: .word 0\n";
     OooCpu ooo(oooCfg(2));
     cyclesFor(src, ooo);
-    EXPECT_GT(ooo.stats().get("stl_forwards"), 50u);
+    EXPECT_GT(ooo.stats().get(Stat::StlForwards), 50u);
 }
 
 TEST(Ooo, RobLimitsWindow)
@@ -282,7 +282,7 @@ TEST(Ooo, RobLimitsWindow)
     cfg.iqSize = cfg.robSize;
     OooCpu ooo(cfg);
     cyclesFor(src, ooo);
-    EXPECT_GT(ooo.stats().get("rob_stall_cycles"), 0u);
+    EXPECT_GT(ooo.stats().get(Stat::RobStallCycles), 0u);
 }
 
 TEST(Ooo, TraditionalXloopWithinFivePercentOfGpBinary)
@@ -385,12 +385,12 @@ TEST(Ooo, IqSizeLimitsInFlightUnissuedWork)
     src += "  xloop.uc r20, r21, body\n  halt\n";
     OooCpu tiny(cfg);
     cyclesFor(src, tiny);
-    EXPECT_GT(tiny.stats().get("iq_stall_cycles"), 0u);
+    EXPECT_GT(tiny.stats().get(Stat::IqStallCycles), 0u);
 
     OooCpu roomy(oooCfg(2));  // 32-entry IQ: same code, fewer stalls
     cyclesFor(src, roomy);
-    EXPECT_LT(roomy.stats().get("iq_stall_cycles"),
-              tiny.stats().get("iq_stall_cycles"));
+    EXPECT_LT(roomy.stats().get(Stat::IqStallCycles),
+              tiny.stats().get(Stat::IqStallCycles));
 }
 
 } // namespace

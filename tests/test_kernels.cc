@@ -258,7 +258,7 @@ TEST(KernelSpeedups, KsackSquashesAreDataDependent)
         sys.loadProgram(prog);
         k.setup(sys.memory(), prog);
         sys.run(prog, ExecMode::Specialized);
-        return sys.lpsuModel().stats().get("squashes");
+        return sys.lpsuModel().stats().get(Stat::Squashes);
     };
     const u64 sm = squashesOf("ksack-sm-om");
     const u64 lg = squashesOf("ksack-lg-om");

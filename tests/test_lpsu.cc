@@ -279,7 +279,7 @@ TEST(LpsuOm, CrossIterationMemoryDepMatchesSerial)
 TEST(LpsuOm, ConflictsCauseSquashes)
 {
     DualRun spec(ksackLikeSrc, configs::ioX(), ExecMode::Specialized);
-    const u64 squashes = spec.sys.lpsuModel().stats().get("squashes");
+    const u64 squashes = spec.sys.lpsuModel().stats().get(Stat::Squashes);
     EXPECT_GT(squashes, 0u);
 }
 
@@ -303,7 +303,7 @@ TEST(LpsuOm, IndependentIterationsDoNotSquash)
         "out: .space 256\n";
     DualRun spec(src, configs::ioX(), ExecMode::Specialized);
     spec.expectRegionMatchesGolden("out", 64);
-    EXPECT_EQ(spec.sys.lpsuModel().stats().get("squashes"), 0u);
+    EXPECT_EQ(spec.sys.lpsuModel().stats().get(Stat::Squashes), 0u);
     DualRun trad(src, configs::io(), ExecMode::Traditional);
     EXPECT_LT(spec.result.cycles, trad.result.cycles);
 }
@@ -440,7 +440,7 @@ TEST(LpsuFallback, OversizedBodyRunsTraditionally)
     DualRun spec(src, configs::ioX(), ExecMode::Specialized);
     spec.expectRegionMatchesGolden("out", 10);
     EXPECT_EQ(spec.result.xloopsSpecialized, 0u);
-    EXPECT_EQ(spec.sys.lpsuModel().stats().get("ib_fallbacks"), 1u);
+    EXPECT_EQ(spec.sys.lpsuModel().stats().get(Stat::IbFallbacks), 1u);
 }
 
 TEST(LpsuNesting, OuterOmWithInnerTraditionalLoop)
@@ -496,8 +496,8 @@ TEST(LpsuScan, ResidencySkipsInstructionRewrites)
         "out: .space 128\n";
     DualRun spec(src, configs::ioX(), ExecMode::Specialized);
     const StatGroup &ls = spec.sys.lpsuModel().stats();
-    EXPECT_EQ(ls.get("scans"), 2u);
-    EXPECT_EQ(ls.get("scan_inst_writes"), 3u);  // body written once
+    EXPECT_EQ(ls.get(Stat::Scans), 2u);
+    EXPECT_EQ(ls.get(Stat::ScanInstWrites), 3u);  // body written once
 }
 
 TEST(LpsuMt, MultithreadingCorrectAndNotSlower)
@@ -663,10 +663,11 @@ TEST(LpsuStats, Fig6CategoriesArePopulated)
 {
     DualRun spec(ksackLikeSrc, configs::ioX(), ExecMode::Specialized);
     const StatGroup &ls = spec.sys.lpsuModel().stats();
-    EXPECT_GT(ls.get("lane_exec_cycles"), 0u);
+    EXPECT_GT(ls.get(Stat::LaneExecCycles), 0u);
     // The distance-2 memory dependence forces commit waits or
     // squashes on the far lanes.
-    EXPECT_GT(ls.get("lane_commit_stall_cycles") + ls.get("squashes"), 0u);
+    EXPECT_GT(ls.get(Stat::LaneCommitStallCycles) + ls.get(Stat::Squashes),
+              0u);
 }
 
 } // namespace

@@ -83,8 +83,8 @@ TEST(L1Cache, HitAfterMiss)
     const Cycle hit = cache.access(0x1004, false);  // same 32B line
     EXPECT_GT(miss, hit);
     EXPECT_EQ(hit, cache.config().hitLatency);
-    EXPECT_EQ(cache.stats().get("read_misses"), 1u);
-    EXPECT_EQ(cache.stats().get("read_hits"), 1u);
+    EXPECT_EQ(cache.stats().get(Stat::ReadMisses), 1u);
+    EXPECT_EQ(cache.stats().get(Stat::ReadHits), 1u);
 }
 
 TEST(L1Cache, LruEviction)
@@ -98,7 +98,7 @@ TEST(L1Cache, LruEviction)
     cache.access(0x40, false);
     cache.access(0x0, false);     // touch line 0 so line 0x40 is LRU
     cache.access(0x80, false);    // evicts 0x40
-    EXPECT_EQ(cache.stats().get("evictions"), 1u);
+    EXPECT_EQ(cache.stats().get(Stat::Evictions), 1u);
     EXPECT_EQ(cache.access(0x0, false), cfg.hitLatency);
     EXPECT_GT(cache.access(0x40, false), cfg.hitLatency);  // was evicted
 }
@@ -113,7 +113,7 @@ TEST(L1Cache, DirtyWritebackCostsExtra)
     cache.access(0x40, false);
     const Cycle evictClean = cache.access(0x80, false);   // evicts dirty 0x0
     EXPECT_EQ(evictClean, cfg.hitLatency + cfg.missPenalty + 2);
-    EXPECT_EQ(cache.stats().get("writebacks"), 1u);
+    EXPECT_EQ(cache.stats().get(Stat::Writebacks), 1u);
 }
 
 TEST(L1Cache, FlushDropsLines)
@@ -141,8 +141,8 @@ TEST(L1Cache, DatasetFittingInCacheHasOnlyCompulsoryMisses)
     for (int pass = 0; pass < 3; pass++)
         for (Addr a = 0; a < 8192; a += 4)
             cache.access(a, pass == 0);
-    const u64 misses = cache.stats().get("read_misses") +
-                       cache.stats().get("write_misses");
+    const u64 misses = cache.stats().get(Stat::ReadMisses) +
+                       cache.stats().get(Stat::WriteMisses);
     EXPECT_EQ(misses, 8192u / cache.config().lineBytes);
 }
 

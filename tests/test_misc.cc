@@ -16,22 +16,22 @@ namespace {
 TEST(Stats, AddSetMergeDump)
 {
     StatGroup a;
-    a.add("x");
-    a.add("x", 4);
-    a.set("y", 7);
-    EXPECT_EQ(a.get("x"), 5u);
-    EXPECT_EQ(a.get("missing"), 0u);
+    a.add(Stat::Squashes);
+    a.add(Stat::Squashes, 4);
+    a.set(Stat::Cycles, 7);
+    EXPECT_EQ(a.get(Stat::Squashes), 5u);
+    EXPECT_EQ(a.get(Stat::Iterations), 0u);
     StatGroup b;
-    b.add("x", 10);
-    b.add("z", 1);
+    b.add(Stat::Squashes, 10);
+    b.add(Stat::Scans, 1);
     a.merge(b);
-    EXPECT_EQ(a.get("x"), 15u);
-    EXPECT_EQ(a.get("z"), 1u);
+    EXPECT_EQ(a.get(Stat::Squashes), 15u);
+    EXPECT_EQ(a.get(Stat::Scans), 1u);
     const std::string dump = a.dump("p.");
-    EXPECT_NE(dump.find("p.x = 15"), std::string::npos);
-    EXPECT_NE(dump.find("p.y = 7"), std::string::npos);
+    EXPECT_NE(dump.find("p.squashes = 15"), std::string::npos);
+    EXPECT_NE(dump.find("p.cycles = 7"), std::string::npos);
     a.clear();
-    EXPECT_EQ(a.get("x"), 0u);
+    EXPECT_EQ(a.get(Stat::Squashes), 0u);
 }
 
 TEST(Rng, DeterministicAndInRange)

@@ -28,19 +28,19 @@ TEST_P(LaneAccounting, EveryLaneCycleAttributedOnce)
 
     const StatGroup &s = sys.lpsuModel().stats();
     const u64 attributed =
-        s.get("lane_exec_cycles") + s.get("lane_raw_stall_cycles") +
-        s.get("lane_cir_stall_cycles") + s.get("lane_cib_stall_cycles") +
-        s.get("lane_memport_stall_cycles") +
-        s.get("lane_llfu_stall_cycles") + s.get("lane_lsq_stall_cycles") +
-        s.get("lane_commit_stall_cycles") +
-        s.get("lane_amo_stall_cycles") + s.get("lane_idle_cycles") +
-        s.get("lane_other_stall_cycles");
-    const u64 laneCycles = cfg.lpsu.lanes * s.get("lpsu_exec_cycles");
+        s.get(Stat::LaneExecCycles) + s.get(Stat::LaneRawStallCycles) +
+        s.get(Stat::LaneCirStallCycles) + s.get(Stat::LaneCibStallCycles) +
+        s.get(Stat::LaneMemportStallCycles) +
+        s.get(Stat::LaneLlfuStallCycles) + s.get(Stat::LaneLsqStallCycles) +
+        s.get(Stat::LaneCommitStallCycles) +
+        s.get(Stat::LaneAmoStallCycles) + s.get(Stat::LaneIdleCycles) +
+        s.get(Stat::LaneOtherStallCycles);
+    const u64 laneCycles = cfg.lpsu.lanes * s.get(Stat::LpsuExecCycles);
     EXPECT_EQ(attributed, laneCycles);
 
     // Iterations executed = committed iterations (plus any squashed
     // re-executions, which are counted separately).
-    EXPECT_GE(s.get("idq_pops"), s.get("iterations"));
+    EXPECT_GE(s.get(Stat::IdqPops), s.get(Stat::Iterations));
 }
 
 std::string
@@ -63,9 +63,9 @@ TEST(EnergyAccounting, LpsuEnergyScalesWithLaneWork)
     // 4x the LPSU energy under the same configuration.
     const EnergyModel model;
     StatGroup small;
-    small.set("lane_insts", 1000);
+    small.set(Stat::LaneInsts, 1000);
     StatGroup big;
-    big.set("lane_insts", 4000);
+    big.set(Stat::LaneInsts, 4000);
     const double e1 =
         model.dynamicEnergy(configs::ioX(), small).lpsuNj;
     const double e4 = model.dynamicEnergy(configs::ioX(), big).lpsuNj;

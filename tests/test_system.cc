@@ -103,7 +103,7 @@ TEST(System, MultipleXloopsInOneProgram)
     sys.loadProgram(prog);
     const SysResult res = sys.run(prog, ExecMode::Specialized);
     EXPECT_EQ(res.xloopsSpecialized, 2u);
-    EXPECT_EQ(sys.lpsuModel().stats().get("scans"), 2u);
+    EXPECT_EQ(sys.lpsuModel().stats().get(Stat::Scans), 2u);
     for (u32 i = 0; i < 32; i++) {
         EXPECT_EQ(sys.memory().readWord(prog.symbol("a") + 4 * i), i);
         EXPECT_EQ(sys.memory().readWord(prog.symbol("b") + 4 * i), 2 * i);
@@ -155,10 +155,10 @@ TEST(System, StatsMergeContainsGppAndLpsuCounters)
     XloopsSystem sys(configs::ioX());
     sys.loadProgram(prog);
     const SysResult res = sys.run(prog, ExecMode::Specialized);
-    EXPECT_GT(res.stats.get("insts"), 0u);        // GPP side
-    EXPECT_GT(res.stats.get("lane_insts"), 0u);   // LPSU side
-    EXPECT_GT(res.stats.get("lpsu_scan_cycles"), 0u);
-    EXPECT_EQ(res.stats.get("cycles_total"), res.cycles);
+    EXPECT_GT(res.stats.get(Stat::Insts), 0u);        // GPP side
+    EXPECT_GT(res.stats.get(Stat::LaneInsts), 0u);   // LPSU side
+    EXPECT_GT(res.stats.get(Stat::LpsuScanCycles), 0u);
+    EXPECT_EQ(res.stats.get(Stat::CyclesTotal), res.cycles);
 }
 
 TEST(System, TraditionalIgnoresTheLpsu)

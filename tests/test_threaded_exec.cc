@@ -478,7 +478,7 @@ TEST(ThreadedExec, CursorResumeMatchesSingleRun)
     Rng rng(0xc0ffee);
     while (!cur.halted)
         chunked.execute(prog, cur, 1 + rng.nextBelow(997));
-    chunked.stats().set("dyn_insts", cur.dynInsts);
+    chunked.stats().set(Stat::DynInsts, cur.dynInsts);
 
     EXPECT_EQ(cur.dynInsts, ref.dynInsts);
     EXPECT_EQ(whole.regFile().regs, chunked.regFile().regs);

@@ -35,18 +35,24 @@ TEST(HistogramBuckets, BoundaryMath)
     EXPECT_EQ(Histogram::bucketIndex(8), 4u);
     EXPECT_EQ(Histogram::bucketIndex(1023), 10u);
     EXPECT_EQ(Histogram::bucketIndex(1024), 11u);
+    // The top bucket: [2^63, 2^64).
+    EXPECT_EQ(Histogram::bucketIndex((u64{1} << 63) - 1), 63u);
+    EXPECT_EQ(Histogram::bucketIndex(u64{1} << 63), 64u);
+    EXPECT_EQ(Histogram::bucketIndex(~u64{0}), 64u);
 
     EXPECT_EQ(Histogram::bucketLo(0), 0u);
     EXPECT_EQ(Histogram::bucketLo(1), 1u);
     EXPECT_EQ(Histogram::bucketLo(2), 2u);
     EXPECT_EQ(Histogram::bucketLo(3), 4u);
     EXPECT_EQ(Histogram::bucketLo(11), 1024u);
+    EXPECT_EQ(Histogram::bucketLo(64), u64{1} << 63);
 
     // Every value lands in the bucket whose range contains it.
-    for (u64 v : {u64{0}, u64{1}, u64{5}, u64{16}, u64{100}, u64{65536}}) {
+    for (u64 v : {u64{0}, u64{1}, u64{5}, u64{16}, u64{100}, u64{65536},
+                  u64{1} << 63, ~u64{0}}) {
         const unsigned b = Histogram::bucketIndex(v);
         EXPECT_GE(v, Histogram::bucketLo(b));
-        if (b > 0)
+        if (b > 0 && b < 64)
             EXPECT_LT(v, Histogram::bucketLo(b + 1));
     }
 }
@@ -192,7 +198,7 @@ TEST(Trace, SquashReplayPairing)
     // only via re-squash before re-issue or end-of-loop cancellation.
     EXPECT_LE(replays, squashes);
     EXPECT_EQ(squashes,
-              t.run.result.stats.get("squashes"));
+              t.run.result.stats.get(Stat::Squashes));
 }
 
 TEST(Trace, StallBreakdownSumsToLaneCycles)
