@@ -2,10 +2,11 @@
  * @file
  * The functional semantics of the xrisc ISA: one architectural step.
  * Every engine (in-order GPP, out-of-order GPP, LPSU lanes, the
- * lockstep shadow) funnels execution through ExecCore::step, and the
- * threaded golden model (cpu/threaded.cc) expands the same sem::
- * handlers, so the instruction semantics exist exactly once: the
- * XLOOPS_HANDLER_LIST in isa/op_meta.h plus the inline functions below.
+ * lockstep shadow) funnels execution through ExecCore::step, or for the
+ * lanes its template ExecCore::stepOn, and the threaded golden model
+ * (cpu/threaded.cc) expands the same sem:: handlers, so the instruction
+ * semantics exist exactly once: the XLOOPS_HANDLER_LIST in
+ * isa/op_meta.h plus the inline functions below.
  *
  * xloop instructions execute here with their *traditional* semantics
  * (increment-compare-branch) — the paper's minimal-decoder-change GPP
@@ -19,6 +20,7 @@
 #include <array>
 #include <cmath>
 
+#include "common/log.h"
 #include "common/types.h"
 #include "cpu/fp.h"
 #include "isa/instruction.h"
@@ -260,7 +262,54 @@ class ExecCore
      */
     static StepResult step(const Instruction &inst, Addr pc, RegFile &regs,
                            MemIface &mem, Cycle cycle = 0);
+
+    /**
+     * step() on a concrete memory type, so its loads and stores bind
+     * statically; the LPSU lanes call it on their own `final` memory.
+     * step() is this template on MemIface and stays the entry point
+     * for everyone else: FunctionalExecutor is the switch-dispatch
+     * baseline bench/micro_dispatch measures the threaded executor
+     * against, so it must keep its virtual MainMemory accesses.
+     */
+    template <class Mem>
+    static StepResult stepOn(const Instruction &inst, Addr pc,
+                             RegFile &regs, Mem &mem, Cycle cycle);
 };
+
+template <class Mem>
+StepResult
+ExecCore::stepOn(const Instruction &inst, Addr pc, RegFile &regs, Mem &mem,
+                 Cycle cycle)
+{
+    StepResult res;
+    res.nextPc = pc + 4;
+
+    switch (opMeta(inst.op).handler) {
+#define XLOOPS_STEP_VALUE(name, ...)                                     \
+      case OpHandler::name:                                              \
+        regs.set(inst.rd, sem::name(regs.get(inst.rs1),                  \
+                                    regs.get(inst.rs2), inst.imm));      \
+        break;
+#define XLOOPS_STEP_BRANCH(name, ...)                                    \
+      case OpHandler::name:                                              \
+        sem::branchIf(sem::name(regs.get(inst.rs1), regs.get(inst.rs2),  \
+                                inst.imm),                               \
+                      pc, inst.imm, res);                                \
+        break;
+#define XLOOPS_STEP_OTHER(name)                                          \
+      case OpHandler::name:                                              \
+        sem::name(inst, pc, regs, mem, cycle, res);                      \
+        break;
+      XLOOPS_HANDLER_LIST(XLOOPS_STEP_VALUE, XLOOPS_STEP_BRANCH,
+                          XLOOPS_STEP_OTHER)
+#undef XLOOPS_STEP_VALUE
+#undef XLOOPS_STEP_BRANCH
+#undef XLOOPS_STEP_OTHER
+      case OpHandler::NumHandlers:
+        panic("executed NumHandlers sentinel");
+    }
+    return res;
+}
 
 } // namespace xloops
 

@@ -34,13 +34,30 @@ scanXloop(const Program &prog, Addr xloopPc, const RegFile &liveIns)
     si.bodyStart = static_cast<Addr>(
         static_cast<i64>(xloopPc) + i64{xl.imm} * 4);
 
-    for (Addr pc = si.bodyStart; pc < si.bodyEnd; pc += 4)
-        si.body.push_back(dec.fetch(pc));
+    for (Addr pc = si.bodyStart; pc < si.bodyEnd; pc += 4) {
+        LaneOp op;
+        op.inst = dec.fetch(pc);
+        const Instruction &inst = op.inst;
+        op.numSrcs = static_cast<u8>(inst.srcRegs(op.srcs.data()));
+        op.dst = inst.destReg();
+        op.latency = inst.traits().latency;
+        op.memSize = opMeta(inst.op).memSize;
+        op.isLoad = inst.isLoad();
+        op.isStore = inst.isStore();
+        op.isAmo = inst.isAmo();
+        op.isMem = inst.isMem();
+        op.isLlfu = inst.isLlfu();
+        op.unpipelined = inst.op == Op::DIV || inst.op == Op::REM ||
+                         inst.op == Op::FDIV;
+        op.isHalt = inst.op == Op::HALT;
+        si.ops.push_back(op);
+    }
 
     // MIVT: collect xi instructions first so their registers are
     // excluded from CIR detection. addu.xi increments by a
     // loop-invariant register read from the live-in register file.
-    for (const Instruction &inst : si.body) {
+    for (const LaneOp &op : si.ops) {
+        const Instruction &inst = op.inst;
         if (inst.op == Op::ADDIU_XI) {
             si.isMiv[inst.rd] = true;
             si.mivInc[inst.rd] = inst.imm;
@@ -53,16 +70,13 @@ scanXloop(const Program &prog, Addr xloopPc, const RegFile &liveIns)
     // Read-before-write / written bit-vectors in static program order.
     std::array<bool, numArchRegs> readFirst{};
     std::array<bool, numArchRegs> written{};
-    for (const Instruction &inst : si.body) {
-        RegId srcs[2];
-        const unsigned n = inst.srcRegs(srcs);
-        for (unsigned i = 0; i < n; i++) {
-            if (srcs[i] != 0 && !written[srcs[i]])
-                readFirst[srcs[i]] = true;
+    for (const LaneOp &op : si.ops) {
+        for (unsigned i = 0; i < op.numSrcs; i++) {
+            if (op.srcs[i] != 0 && !written[op.srcs[i]])
+                readFirst[op.srcs[i]] = true;
         }
-        const RegId dst = inst.destReg();
-        if (dst < numArchRegs)
-            written[dst] = true;
+        if (op.dst < numArchRegs)
+            written[op.dst] = true;
     }
 
     for (unsigned r = 1; r < numArchRegs; r++) {
@@ -78,28 +92,37 @@ scanXloop(const Program &prog, Addr xloopPc, const RegFile &liveIns)
 
     // Last static write per CIR, and whether pushing the CIB value at
     // that instruction is safe (no backward branch can re-execute it).
-    for (size_t i = 0; i < si.body.size(); i++) {
-        const Instruction &inst = si.body[i];
-        const RegId dst = inst.destReg();
-        const Addr pc = si.bodyStart + static_cast<Addr>(4 * i);
+    const auto pcOf = [&si](size_t i) {
+        return si.bodyStart + static_cast<Addr>(4 * i);
+    };
+    for (size_t i = 0; i < si.ops.size(); i++) {
+        const RegId dst = si.ops[i].dst;
         if (dst < numArchRegs && si.isCir[dst])
-            si.lastCirWritePc[dst] = pc;
+            si.lastCirWritePc[dst] = pcOf(i);
     }
     for (unsigned r = 1; r < numArchRegs; r++) {
         if (!si.isCir[r])
             continue;
         si.earlyPushOk[r] = true;
-        for (size_t i = 0; i < si.body.size(); i++) {
-            const Instruction &inst = si.body[i];
+        for (size_t i = 0; i < si.ops.size(); i++) {
+            const Instruction &inst = si.ops[i].inst;
             if (!inst.isBranch() && !inst.isXloop())
                 continue;
-            const Addr pc = si.bodyStart + static_cast<Addr>(4 * i);
+            const Addr pc = pcOf(i);
             const Addr target = static_cast<Addr>(
                 static_cast<i64>(pc) + i64{inst.imm} * 4);
             // A backward edge crossing the last write re-executes it.
             if (pc >= si.lastCirWritePc[r] && target <= si.lastCirWritePc[r])
                 si.earlyPushOk[r] = false;
         }
+    }
+
+    for (size_t i = 0; i < si.ops.size(); i++) {
+        LaneOp &op = si.ops[i];
+        op.dstIsCir = op.dst < numArchRegs && si.isCir[op.dst];
+        op.earlyPush = si.pattern == LoopPattern::OR && op.dstIsCir &&
+                       pcOf(i) == si.lastCirWritePc[op.dst] &&
+                       si.earlyPushOk[op.dst];
     }
     return si;
 }
@@ -210,8 +233,9 @@ struct Context
                                     ///< next issued instruction
 };
 
-/** MemIface routing a lane's accesses directly or through its LSQ. */
-class LaneMem : public MemIface
+/** MemIface routing a lane's accesses directly or through its LSQ.
+ *  `final`, so ExecCore::stepOn<LaneMem> binds its calls statically. */
+class LaneMem final : public MemIface
 {
   public:
     MainMemory *mem = nullptr;
@@ -293,6 +317,32 @@ struct PendingBroadcast
     Cycle fire;
 };
 
+/** A run of equal per-cycle samples, recorded as one weighted sample:
+ *  Histogram::sample(v, w) is exactly w samples of v. */
+struct SampleRun
+{
+    u64 value = 0;
+    u64 length = 0;
+
+    void
+    add(u64 v, Histogram &h)
+    {
+        if (v != value) {
+            flush(h);
+            value = v;
+        }
+        length++;
+    }
+
+    void
+    flush(Histogram &h)
+    {
+        if (length > 0)
+            h.sample(value, length);
+        length = 0;
+    }
+};
+
 class LpsuEngine
 {
   public:
@@ -309,7 +359,7 @@ class LpsuEngine
     struct Lane
     {
         std::vector<Context> ctxs;
-        std::vector<i64> laneNextIter;  // ordered dispatch (1 entry)
+        i64 nextIter = 0;               // ordered dispatch
         unsigned rr = 0;                // MT round-robin pointer
     };
 
@@ -317,6 +367,7 @@ class LpsuEngine
     bool orderedDispatch() const { return si.pattern != LoopPattern::UC; }
     bool done() const;
     void seedCibs();
+    void sortLaneOrder();
 
     /** Engine cycle on the absolute system timeline (trace stamps). */
     Cycle absCycle() const { return absBase + cycle; }
@@ -327,7 +378,10 @@ class LpsuEngine
     void observeOccupancy();
     void flushStallSlices();
 
-    void activate(Lane &lane, Context &ctx, i64 iter);
+    void activate(Context &ctx, i64 iter);
+    void release(Context &ctx);
+    void clearLsq(Context &ctx);
+    void drainOldestStore(unsigned lane_idx, Context &ctx);
     std::optional<i64> nextIterFor(unsigned lane_idx);
     Stall tickContext(unsigned lane_idx, Context &ctx);
     Stall execInst(unsigned lane_idx, Context &ctx);
@@ -343,7 +397,7 @@ class LpsuEngine
     void capDispatchForMigration();
     void injectFaultsThisCycle();
     MachineSnapshot snapshotState(const std::string &context) const;
-    bool llfuRequest(const Instruction &inst);
+    bool llfuRequest(const LaneOp &op);
     Cib &cibOut(unsigned lane_idx)
     {
         return cibs[(lane_idx + 1) % cfg.lanes];
@@ -375,8 +429,19 @@ class LpsuEngine
     u64 maxIters;
 
     std::vector<Lane> lanes;
+    unsigned ctxsPerLane = 1;
+    unsigned activeCtxs = 0;    ///< contexts holding an iteration
+    /** Lane issue priority of ordered patterns: lowest iteration
+     *  first, idle lanes last (see sortLaneOrder). */
+    std::vector<unsigned> order;
+    bool orderStale = false;    ///< a lane's priority key changed
     std::vector<Cib> cibs;
     u64 cibValues = 0;  ///< values buffered across all CIBs
+    u64 lsqEntries = 0; ///< entries buffered across all LSQs
+    SampleRun cibRun;   ///< open runs of the occupancy histograms
+    SampleRun lsqRun;
+    std::vector<const LaneLsq *> olderLsqs;  ///< +xf: per-instruction
+                                             ///< scratch for LaneMem
     std::vector<Cycle> llfuFree;
     unsigned memPortsLeft = 0;
     Cycle cycle = 0;
@@ -415,11 +480,13 @@ LpsuEngine::LpsuEngine(const LpsuConfig &config, MainMemory &memory,
       tr(tracer), prof(loop_profile), absBase(abs_base),
       laneObs(cfg.lanes),
       startIdx(start_idx), bound(initial_bound), maxIters(max_iters),
-      cibs(cfg.lanes, Cib(cfg.cibDepth)), llfuFree(cfg.llfus, 0),
-      nextDispatch(start_idx), nextToCommit(start_idx)
+      order(cfg.lanes), cibs(cfg.lanes, Cib(cfg.cibDepth)),
+      llfuFree(cfg.llfus, 0), nextDispatch(start_idx),
+      nextToCommit(start_idx)
 {
     const bool mt = cfg.multithreading && si.pattern == LoopPattern::UC;
-    const unsigned ctxsPerLane = mt ? 2 : 1;
+    ctxsPerLane = mt ? 2 : 1;
+    std::iota(order.begin(), order.end(), 0);
     lanes.resize(cfg.lanes);
     for (unsigned l = 0; l < cfg.lanes; l++) {
         Lane &lane = lanes[l];
@@ -432,7 +499,7 @@ LpsuEngine::LpsuEngine(const LpsuConfig &config, MainMemory &memory,
             for (unsigned r = 0; r < numArchRegs; r++)
                 ctx.mivLastIter[r] = startIdx - 1;  // GPP ran iter idx0
         }
-        lane.laneNextIter.push_back(startIdx + l);
+        lane.nextIter = startIdx + l;
     }
     seedCibs();
 }
@@ -467,10 +534,8 @@ LpsuEngine::seedCibs()
 bool
 LpsuEngine::done() const
 {
-    for (const auto &lane : lanes)
-        for (const auto &ctx : lane.ctxs)
-            if (ctx.active)
-                return false;
+    if (activeCtxs > 0)
+        return false;
     if (orderedDispatch())
         return nextToCommit >= effBound();
     return nextDispatch >= effBound();
@@ -480,7 +545,7 @@ std::optional<i64>
 LpsuEngine::nextIterFor(unsigned lane_idx)
 {
     if (orderedDispatch()) {
-        i64 &next = lanes[lane_idx].laneNextIter[0];
+        i64 &next = lanes[lane_idx].nextIter;
         if (next >= effBound())
             return std::nullopt;
         const i64 iter = next;
@@ -493,9 +558,10 @@ LpsuEngine::nextIterFor(unsigned lane_idx)
 }
 
 void
-LpsuEngine::activate(Lane &lane, Context &ctx, i64 iter)
+LpsuEngine::activate(Context &ctx, i64 iter)
 {
-    (void)lane;
+    activeCtxs++;
+    orderStale = true;
     ctx.active = true;
     ctx.iter = iter;
     ctx.pc = si.bodyStart;
@@ -572,10 +638,7 @@ LpsuEngine::completeIteration(Context &ctx)
            ctx.iter, static_cast<i64>(iterDur));
     XTRACE(tr, absCycle(), TraceComp::Lmu, 0, TraceKind::Commit,
            ctx.iter, 0);
-    ctx.active = false;
-    ctx.bodyDone = false;
-    ctx.lsq.clear();
-    ctx.overflowSquashes = 0;
+    release(ctx);
     completed++;
     lastCommitCycle = cycle;
     // Injected mid-loop migration: hand the loop back to the GPP at an
@@ -590,6 +653,41 @@ LpsuEngine::completeIteration(Context &ctx)
     if (orderedDispatch())
         nextToCommit = std::max(nextToCommit, ctx.iter + 1);
     stats.add(Stat::Iterations);
+}
+
+/** Free @p ctx: its iteration committed or was cancelled. */
+void
+LpsuEngine::release(Context &ctx)
+{
+    ctx.active = false;
+    ctx.bodyDone = false;
+    clearLsq(ctx);
+    ctx.overflowSquashes = 0;
+    activeCtxs--;
+    orderStale = true;
+}
+
+void
+LpsuEngine::clearLsq(Context &ctx)
+{
+    lsqEntries -= ctx.lsq.numLoads() + ctx.lsq.numStores();
+    ctx.lsq.clear();
+}
+
+/** Write the oldest buffered store of the committing @p ctx to
+ *  memory through a port the caller has checked is free. */
+void
+LpsuEngine::drainOldestStore(unsigned lane_idx, Context &ctx)
+{
+    memPortsLeft--;
+    const LsqAccess st = ctx.lsq.popOldestStore();
+    lsqEntries--;
+    mem.write(st.addr, st.size, st.value);
+    dcache.access(st.addr, true);
+    stats.add(Stat::LsqDrainStores);
+    XTRACE(tr, absCycle(), TraceComp::Lsq, lane_idx, TraceKind::LsqDrain,
+           static_cast<i64>(st.addr), ctx.iter);
+    broadcastStore(st.addr, st.size, ctx.iter);
 }
 
 void
@@ -684,7 +782,7 @@ LpsuEngine::squash(Context &ctx)
     ctx.pendingReplay = true;
     ctx.regs = ctx.snapshot;
     ctx.regReady.fill(cycle + 1);
-    ctx.lsq.clear();
+    clearLsq(ctx);
     ctx.pc = si.bodyStart;
     ctx.bodyDone = false;
     ctx.cirPushed.fill(false);
@@ -747,9 +845,7 @@ LpsuEngine::beginStormFallback()
     for (auto &lane : lanes) {
         for (auto &ctx : lane.ctxs) {
             if (ctx.active && ctx.iter >= cap) {
-                ctx.active = false;
-                ctx.bodyDone = false;
-                ctx.lsq.clear();
+                release(ctx);
                 stats.add(Stat::CancelledIterations);
             }
         }
@@ -775,7 +871,7 @@ LpsuEngine::capDispatchForMigration()
     if (orderedDispatch()) {
         cap = nextToCommit;
         for (const auto &lane : lanes)
-            cap = std::max(cap, lane.laneNextIter[0]);
+            cap = std::max(cap, lane.nextIter);
     } else {
         cap = nextDispatch;
     }
@@ -848,7 +944,7 @@ LpsuEngine::snapshotState(const std::string &context) const
         if (orderedDispatch()) {
             s.occupancy.emplace_back(
                 strf("idq[lane", l, "].nextIter"),
-                static_cast<u64>(lanes[l].laneNextIter[0]));
+                static_cast<u64>(lanes[l].nextIter));
         }
     }
     for (unsigned l = 0; l < cibs.size(); l++) {
@@ -868,13 +964,11 @@ LpsuEngine::snapshotState(const std::string &context) const
 }
 
 bool
-LpsuEngine::llfuRequest(const Instruction &inst)
+LpsuEngine::llfuRequest(const LaneOp &op)
 {
-    const bool pipelined = inst.op != Op::DIV && inst.op != Op::REM &&
-                           inst.op != Op::FDIV;
     for (auto &unitFree : llfuFree) {
         if (unitFree <= cycle) {
-            unitFree = pipelined ? cycle + 1 : cycle + inst.traits().latency;
+            unitFree = op.unpipelined ? cycle + op.latency : cycle + 1;
             return true;
         }
     }
@@ -929,14 +1023,7 @@ LpsuEngine::finishBody(unsigned lane_idx, Context &ctx, Stall &stall)
                 stall = Stall::MemPort;
                 return false;
             }
-            memPortsLeft--;
-            const LsqAccess st = ctx.lsq.popOldestStore();
-            mem.write(st.addr, st.size, st.value);
-            dcache.access(st.addr, true);
-            stats.add(Stat::LsqDrainStores);
-            XTRACE(tr, absCycle(), TraceComp::Lsq, lane_idx,
-                   TraceKind::LsqDrain, static_cast<i64>(st.addr), ctx.iter);
-            broadcastStore(st.addr, st.size, ctx.iter);
+            drainOldestStore(lane_idx, ctx);
             return true;
         }
         // ORM communicates CIRs at commit (a squash after an early
@@ -965,9 +1052,7 @@ LpsuEngine::finishBody(unsigned lane_idx, Context &ctx, Stall &stall)
             for (auto &lane : lanes) {
                 for (auto &other : lane.ctxs) {
                     if (other.active && other.iter > ctx.iter) {
-                        other.active = false;
-                        other.bodyDone = false;
-                        other.lsq.clear();
+                        release(other);
                         stats.add(Stat::CancelledIterations);
                     }
                 }
@@ -1004,10 +1089,11 @@ Stall
 LpsuEngine::execInst(unsigned lane_idx, Context &ctx)
 {
     const size_t index = (ctx.pc - si.bodyStart) / 4;
-    XL_ASSERT(index < si.body.size(), "lane pc escaped the loop body");
-    const Instruction &inst = si.body[index];
+    XL_ASSERT(index < si.ops.size(), "lane pc escaped the loop body");
+    const LaneOp &op = si.ops[index];
+    const Instruction &inst = op.inst;
 
-    if (inst.op == Op::HALT)
+    if (op.isHalt)
         fatal("halt inside an xloop body");
 
     // First issue after a squash: close the squash/replay pair.
@@ -1019,11 +1105,9 @@ LpsuEngine::execInst(unsigned lane_idx, Context &ctx)
 
     // 1. CIR consumption: the first read of a CIR in an iteration
     //    takes the value from the inbound CIB (or stalls).
-    RegId srcs[2];
-    const unsigned numSrcs = inst.srcRegs(srcs);
     if (si.ordersRegisters()) {
-        for (unsigned i = 0; i < numSrcs; i++) {
-            const RegId r = srcs[i];
+        for (unsigned i = 0; i < op.numSrcs; i++) {
+            const RegId r = op.srcs[i];
             if (!si.isCir[r] || ctx.cirConsumed[r])
                 continue;
             if (ctx.cirWritten[r])
@@ -1040,17 +1124,14 @@ LpsuEngine::execInst(unsigned lane_idx, Context &ctx)
     }
 
     // 2. RAW hazards against the lane scoreboard.
-    for (unsigned i = 0; i < numSrcs; i++)
-        if (ctx.regReady[srcs[i]] > cycle)
+    for (unsigned i = 0; i < op.numSrcs; i++)
+        if (ctx.regReady[op.srcs[i]] > cycle)
             return Stall::Raw;
 
     // 3. Early CIB push pre-check (xloop.or only; see finishBody for
     //    the orm commit-time path).
-    const RegId dst = inst.destReg();
-    const bool earlyPush =
-        si.pattern == LoopPattern::OR && dst < numArchRegs &&
-        si.isCir[dst] && ctx.pc == si.lastCirWritePc[dst] &&
-        si.earlyPushOk[dst] && !ctx.cirPushed[dst];
+    const RegId dst = op.dst;
+    const bool earlyPush = op.earlyPush && !ctx.cirPushed[dst];
     if (earlyPush && (cibOut(lane_idx).full(dst) ||
                       (inj.enabled() && inj.forceCibFull())))
         return Stall::CibFull;
@@ -1059,18 +1140,18 @@ LpsuEngine::execInst(unsigned lane_idx, Context &ctx)
     const bool spec = si.ordersMemory() && ctx.iter != nextToCommit;
     bool usePort = false;
     Addr memAddr = 0;
-    if (inst.isLlfu() && !llfuRequest(inst))
+    if (op.isLlfu && !llfuRequest(op))
         return Stall::Llfu;
-    if (inst.isMem()) {
-        if (inst.isAmo())
+    if (op.isMem) {
+        if (op.isAmo)
             memAddr = ctx.regs.get(inst.rs1);
         else
             memAddr = static_cast<Addr>(ctx.regs.get(inst.rs1) + inst.imm);
 
         if (spec) {
-            if (inst.isAmo())
+            if (op.isAmo)
                 return Stall::AmoWait;
-            if (inst.isStore()) {
+            if (op.isStore) {
                 if (ctx.lsq.storesFull() ||
                     (inj.enabled() && inj.forceLsqFull()))
                     return Stall::LsqFull;
@@ -1078,9 +1159,7 @@ LpsuEngine::execInst(unsigned lane_idx, Context &ctx)
                 if (ctx.lsq.loadsFull() ||
                     (inj.enabled() && inj.forceLsqFull()))
                     return Stall::LsqFull;
-                if (!ctx.lsq.fullyCovered(memAddr, inst.op == Op::LW ? 4 :
-                                          (inst.op == Op::LH ||
-                                           inst.op == Op::LHU) ? 2 : 1)) {
+                if (!ctx.lsq.fullyCovered(memAddr, op.memSize)) {
                     if (memPortsLeft == 0)
                         return Stall::MemPort;
                     usePort = true;
@@ -1099,28 +1178,30 @@ LpsuEngine::execInst(unsigned lane_idx, Context &ctx)
     laneMem.lsq = &ctx.lsq;
     laneMem.buffered = spec;
     laneMem.crossLane = cfg.interLaneForwarding;
-    std::vector<const LaneLsq *> older;
     if (spec && cfg.interLaneForwarding) {
+        olderLsqs.clear();
         for (const auto &lane : lanes)
             for (const auto &other : lane.ctxs)
                 if (other.active && other.iter < ctx.iter)
-                    older.push_back(&other.lsq);
-        laneMem.olderLsqs = &older;
+                    olderLsqs.push_back(&other.lsq);
+        laneMem.olderLsqs = &olderLsqs;
     }
 
     const StepResult step =
-        ExecCore::step(inst, ctx.pc, ctx.regs, laneMem, cycle);
+        ExecCore::stepOn(inst, ctx.pc, ctx.regs, laneMem, cycle);
     laneInsts++;
     ctx.iterInsts++;
     stats.add(Stat::LaneInsts);
     stats.add(Stat::IbAccesses);
     bool lsqOverflow = laneMem.overflowed;
-    if (spec && inst.isLoad()) {
+    if (spec && op.isLoad) {
         if (ctx.lsq.pushLoad(step.memAddr, step.memSize,
-                             laneMem.lastLoadValue))
+                             laneMem.lastLoadValue)) {
+            lsqEntries++;
             stats.add(Stat::LsqLoads);
-        else
+        } else {
             lsqOverflow = true;
+        }
     }
     if (lsqOverflow) {
         // Structural overflow mid-instruction (only reachable under
@@ -1134,14 +1215,16 @@ LpsuEngine::execInst(unsigned lane_idx, Context &ctx)
         ctx.overflowSquashes++;
         return Stall::LsqFull;
     }
-    if (spec && inst.isStore())
+    if (spec && op.isStore) {
+        lsqEntries++;
         stats.add(Stat::LsqStores);
+    }
 
     // 6. Timing.
-    Cycle latency = inst.traits().latency;
+    Cycle latency = op.latency;
     if (usePort) {
         memPortsLeft--;
-        const bool isWrite = inst.isStore() || inst.isAmo();
+        const bool isWrite = op.isStore || op.isAmo;
         Cycle dlat = dcache.access(step.memAddr, isWrite);
         if (inj.enabled()) {
             const Cycle jitter = inj.memJitter();
@@ -1154,13 +1237,13 @@ LpsuEngine::execInst(unsigned lane_idx, Context &ctx)
     }
     if (dst < numArchRegs) {
         ctx.regReady[dst] = cycle + latency;
-        if (si.ordersRegisters() && si.isCir[dst])
+        if (si.ordersRegisters() && op.dstIsCir)
             ctx.cirWritten[dst] = true;
     }
 
     // 7. Side channels: store broadcast, CIR push, dynamic bound.
     if (!spec && si.ordersMemory() && step.memAccess &&
-        (inst.isStore() || inst.isAmo())) {
+        (op.isStore || op.isAmo)) {
         broadcastStore(step.memAddr, step.memSize, ctx.iter);
     }
     if (earlyPush)
@@ -1198,12 +1281,12 @@ LpsuEngine::tickContext(unsigned lane_idx, Context &ctx)
         // Storm serialization: only the committing iteration may
         // start while the backoff window is open.
         if (serialized && orderedDispatch() &&
-            lanes[lane_idx].laneNextIter[0] != nextToCommit)
+            lanes[lane_idx].nextIter != nextToCommit)
             return Stall::Idle;
         const auto iter = nextIterFor(lane_idx);
         if (!iter)
             return Stall::Idle;
-        activate(lanes[lane_idx], ctx, *iter);
+        activate(ctx, *iter);
         return Stall::None;
     }
     if (ctx.busyUntil > cycle)
@@ -1223,16 +1306,11 @@ LpsuEngine::tickContext(unsigned lane_idx, Context &ctx)
         ctx.lsq.hasStores()) {
         if (memPortsLeft == 0)
             return Stall::MemPort;
-        memPortsLeft--;
-        const LsqAccess st = ctx.lsq.popOldestStore();
-        mem.write(st.addr, st.size, st.value);
-        dcache.access(st.addr, true);
-        stats.add(Stat::LsqDrainStores);
-        XTRACE(tr, absCycle(), TraceComp::Lsq, lane_idx,
-               TraceKind::LsqDrain, static_cast<i64>(st.addr), ctx.iter);
-        broadcastStore(st.addr, st.size, ctx.iter);
-        if (!ctx.lsq.hasStores())
+        drainOldestStore(lane_idx, ctx);
+        if (!ctx.lsq.hasStores()) {
+            lsqEntries -= ctx.lsq.numLoads();
             ctx.lsq.clearLoads();  // non-speculative now
+        }
         return Stall::None;
     }
 
@@ -1278,18 +1356,17 @@ LpsuEngine::observeLaneCycle(unsigned lane_idx, Stall outcome)
 }
 
 /** Occupancy histograms: profiler-gated so stats stay byte-identical
- *  when no observer is attached. */
+ *  when no observer is attached. One sample per cycle, recorded as
+ *  runs of equal values and flushed when the engine returns; a
+ *  SimError drops the open run, as nothing reads a failed run's
+ *  profile. */
 void
 LpsuEngine::observeOccupancy()
 {
     if (!prof)
         return;
-    u64 lsqOcc = 0;
-    for (const auto &lane : lanes)
-        for (const auto &ctx : lane.ctxs)
-            lsqOcc += ctx.lsq.numLoads() + ctx.lsq.numStores();
-    prof->cibOccupancy.sample(cibValues);
-    prof->lsqOccupancy.sample(lsqOcc);
+    cibRun.add(cibValues, prof->cibOccupancy);
+    lsqRun.add(lsqEntries, prof->lsqOccupancy);
 }
 
 /** Close any stall slice still open when the engine drains. */
@@ -1311,13 +1388,36 @@ LpsuEngine::flushStallSlices()
 #endif
 }
 
+/**
+ * Ordered patterns give the non-speculative (lowest iteration) lane
+ * first pick, idle lanes last. A stable insertion pass over the
+ * previous order, run only after some lane's key changed: sorting an
+ * unchanged key set stably returns the same order, so this equals
+ * sorting every cycle.
+ */
+void
+LpsuEngine::sortLaneOrder()
+{
+    const auto key = [this](unsigned l) {
+        const Context &ctx = lanes[l].ctxs[0];
+        return ctx.active ? ctx.iter : std::numeric_limits<i64>::max();
+    };
+    for (size_t i = 1; i < order.size(); i++) {
+        const unsigned lane = order[i];
+        const i64 k = key(lane);
+        size_t j = i;
+        for (; j > 0 && k < key(order[j - 1]); j--)
+            order[j] = order[j - 1];
+        order[j] = lane;
+    }
+    orderStale = false;
+}
+
 LpsuResult
 LpsuEngine::run()
 {
     LpsuResult res;
-
-    std::vector<unsigned> order(cfg.lanes);
-    std::iota(order.begin(), order.end(), 0);
+    unsigned firstLane = 0;  // uc: rotates one lane per cycle
 
     while (!done()) {
         if (cycle > lpsuCycleLimit) {
@@ -1346,31 +1446,25 @@ LpsuEngine::run()
 
         // Priority: ordered patterns give the non-speculative (lowest
         // iteration) lane first pick; uc rotates for fairness.
-        if (orderedDispatch()) {
-            std::sort(order.begin(), order.end(),
-                      [this](unsigned a, unsigned b) {
-                          auto key = [this](unsigned l) {
-                              const auto &ctx = lanes[l].ctxs[0];
-                              return ctx.active ? ctx.iter
-                                                : std::numeric_limits<i64>::max();
-                          };
-                          return key(a) < key(b);
-                      });
-        } else {
-            std::iota(order.begin(), order.end(), 0);
-            std::rotate(order.begin(),
-                        order.begin() + (cycle % cfg.lanes), order.end());
-        }
+        const bool ordered = orderedDispatch();
+        if (ordered && orderStale)
+            sortLaneOrder();
 
-        for (const unsigned laneIdx : order) {
+        for (unsigned k = 0; k < cfg.lanes; k++) {
+            unsigned laneIdx = ordered ? order[k] : firstLane + k;
+            if (laneIdx >= cfg.lanes)
+                laneIdx -= cfg.lanes;
             Lane &lane = lanes[laneIdx];
             // Vertical MT: try contexts round-robin; the first that
             // makes progress owns the issue slot this cycle.
             Stall firstStall = Stall::Idle;
             bool progressed = false;
             bool sawBusy = false;
-            for (unsigned c = 0; c < lane.ctxs.size(); c++) {
-                Context &ctx = lane.ctxs[(lane.rr + c) % lane.ctxs.size()];
+            for (unsigned c = 0; c < ctxsPerLane; c++) {
+                unsigned pick = lane.rr + c;
+                if (pick >= ctxsPerLane)
+                    pick -= ctxsPerLane;
+                Context &ctx = lane.ctxs[pick];
                 if (ctx.active && ctx.busyUntil > cycle) {
                     sawBusy = true;
                     continue;
@@ -1379,7 +1473,7 @@ LpsuEngine::run()
                 ctx.lastStall = stall;
                 if (stall == Stall::None) {
                     progressed = true;
-                    lane.rr = (lane.rr + c + 1) % lane.ctxs.size();
+                    lane.rr = pick + 1 == ctxsPerLane ? 0 : pick + 1;
                     // Superscalar lanes (extension): keep issuing from
                     // the same context within this cycle. No same-cycle
                     // bypass: a dependent instruction still waits.
@@ -1407,9 +1501,13 @@ LpsuEngine::run()
         }
         observeOccupancy();
         cycle++;
+        if (++firstLane == cfg.lanes)
+            firstLane = 0;
     }
     flushStallSlices();
     if (prof) {
+        cibRun.flush(prof->cibOccupancy);
+        lsqRun.flush(prof->lsqOccupancy);
         prof->specIters += completed;
         prof->engineCycles += cycle;
     }
@@ -1487,7 +1585,7 @@ Lpsu::execute(const Program &prog, Addr xloopPc, RegFile &liveIns,
     }
 
     LpsuResult res;
-    if (si.body.size() > cfg.ibEntries) {
+    if (si.ops.size() > cfg.ibEntries) {
         res.fellBack = true;
         res.reason = FallbackReason::BodyTooLarge;
         statGroup.add(Stat::IbFallbacks);
@@ -1522,9 +1620,9 @@ Lpsu::execute(const Program &prog, Addr xloopPc, RegFile &liveIns,
     // renaming amortized over all iterations.
     Cycle scan = cfg.scanOverheadCycles + si.numLiveIns;
     if (residentPc != xloopPc) {
-        scan += static_cast<Cycle>(si.body.size()) * cfg.scanCyclesPerInst;
-        statGroup.add(Stat::ScanInstWrites, si.body.size());
-        statGroup.add(Stat::ScanRenames, si.body.size());
+        scan += static_cast<Cycle>(si.ops.size()) * cfg.scanCyclesPerInst;
+        statGroup.add(Stat::ScanInstWrites, si.ops.size());
+        statGroup.add(Stat::ScanRenames, si.ops.size());
     }
     statGroup.add(Stat::ScanLiveinWrites, si.numLiveIns);
     statGroup.add(Stat::Scans);
@@ -1535,7 +1633,7 @@ Lpsu::execute(const Program &prog, Addr xloopPc, RegFile &liveIns,
         prof->scanCycles += scan;
     }
     XTRACE(tracer, traceBase + scan, TraceComp::Lmu, 0, TraceKind::ScanDone,
-           static_cast<i64>(scan), static_cast<i64>(si.body.size()));
+           static_cast<i64>(scan), static_cast<i64>(si.ops.size()));
     LpsuEngine engine(cfg, mem, dcache, statGroup, injector, si, liveIns,
                       startIdx, bound0, maxIters, tracer, prof,
                       traceBase + scan);

@@ -106,12 +106,39 @@ struct LpsuResult
     bool boundReached = true;   ///< false when maxIters capped the run
 };
 
+/**
+ * One loop-body instruction as the scan phase writes it into the
+ * lanes' instruction buffers: the instruction plus every fact a lane
+ * tests when it tries to issue it, derived once per scan.
+ */
+struct LaneOp
+{
+    Instruction inst;
+    std::array<RegId, 2> srcs{};  ///< Instruction::srcRegs, in order
+    u8 numSrcs = 0;
+    RegId dst = numArchRegs;      ///< Instruction::destReg (none: 32)
+    u8 latency = 0;               ///< OpTraits::latency
+    u8 memSize = 0;               ///< OpMeta::memSize (0: no access)
+    bool isLoad = false;
+    bool isStore = false;
+    bool isAmo = false;
+    bool isMem = false;
+    bool isLlfu = false;
+    bool unpipelined = false;     ///< holds its LLFU for the full latency
+    bool isHalt = false;
+    bool dstIsCir = false;
+    /** Static half of the xloop.or early CIB push: dst is a CIR, this
+     *  is its last static write, and no backward branch can execute
+     *  it again. The lane adds "not pushed yet this iteration". */
+    bool earlyPush = false;
+};
+
 /** Static information the LMU derives during the scan phase. */
 struct ScanInfo
 {
     Addr bodyStart = 0;
     Addr bodyEnd = 0;           ///< address of the xloop instruction
-    std::vector<Instruction> body;
+    std::vector<LaneOp> ops;    ///< the body, one op per instruction
     LoopPattern pattern = LoopPattern::UC;
     bool dynamicBound = false;
     bool dataDepExit = false;   ///< extension: boundReg is an exit flag

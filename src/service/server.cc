@@ -216,8 +216,17 @@ runServer(const ServerConfig &cfg, const std::atomic<u32> &shutdownFlag)
         if (ready <= 0 || !(pfd.revents & POLLIN))
             continue;
         const int connFd = ::accept(listenFd, nullptr, nullptr);
-        if (connFd < 0)
+        if (connFd < 0) {
+            // Out of fds: poll keeps reporting the backlog, so wait
+            // for a client to leave (or one poll period, to notice a
+            // drain) instead of spinning on accept.
+            if (errno == EMFILE || errno == ENFILE) {
+                std::unique_lock<std::mutex> lock(connMutex);
+                connLeft.wait_for(lock, std::chrono::milliseconds(200),
+                                  [&] { return !departed.empty(); });
+            }
             continue;
+        }
         wireMetrics().connections.inc();
         // Join the departed first: the new thread then reuses their
         // stack and malloc arena instead of adding its own.

@@ -165,11 +165,9 @@ LockstepChecker::catchUp(Addr xloopPc, RegId idxReg,
     // to keep every later per-instruction compare exact.
     const ScanInfo si = scanXloop(prog, xloopPc, regs);
     std::array<bool, numArchRegs> skip{};
-    for (const Instruction &inst : si.body) {
-        const RegId dst = inst.destReg();
-        if (dst < numArchRegs)
-            skip[dst] = true;
-    }
+    for (const LaneOp &op : si.ops)
+        if (op.dst < numArchRegs)
+            skip[op.dst] = true;
     skip[si.idxReg] = false;
     skip[si.boundReg] = false;
     for (unsigned r = 1; r < numArchRegs; r++)

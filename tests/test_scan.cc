@@ -2,12 +2,14 @@
 // body extraction, pattern/db decoding, CIR identification with the
 // idx/bound/MIV exclusions, last-CIR-write tracking, early-push
 // safety under internal backward branches, MIVT construction
-// (including register-increment addu.xi), and live-in counting.
+// (including register-increment addu.xi), live-in counting, and the
+// predecoded LaneOp of every body instruction against the ISA tables.
 
 #include <gtest/gtest.h>
 
 #include "asm/assembler.h"
 #include "common/log.h"
+#include "kernels/kernel.h"
 #include "lpsu/lpsu.h"
 
 namespace xloops {
@@ -35,7 +37,7 @@ TEST(Scan, BodyRangeAndPattern)
         "  li r1, 0\n  li r2, 8\n"
         "body:\n  add r3, r4, r5\n  sub r6, r7, r8\n"
         "  xloop.om r1, r2, body\n  halt\n");
-    EXPECT_EQ(si.body.size(), 2u);
+    EXPECT_EQ(si.ops.size(), 2u);
     EXPECT_EQ(si.pattern, LoopPattern::OM);
     EXPECT_FALSE(si.dynamicBound);
     EXPECT_TRUE(si.ordersMemory());
@@ -167,8 +169,67 @@ TEST(Scan, NestedXloopCountsAsBodyInstruction)
         "  xloop.om r1, r2, body\n  halt\n",
         RegFile{}, 1);  // scan the outer (second) xloop
     EXPECT_EQ(si.pattern, LoopPattern::OM);
-    EXPECT_EQ(si.body.size(), 3u);
-    EXPECT_TRUE(si.body[2].isXloop());
+    EXPECT_EQ(si.ops.size(), 3u);
+    EXPECT_TRUE(si.ops[2].inst.isXloop());
+}
+
+// Every fact a lane reads from its LaneOp equals what the ISA tables
+// and the scan arrays give for the instruction, over every body
+// instruction of every xloop in the Table II kernels.
+TEST(Scan, LaneOpsAgreeWithIsaTables)
+{
+    unsigned xloops = 0;
+    unsigned earlyPushes = 0;
+    for (const std::string &name : tableIIKernelNames()) {
+        const Program prog = assemble(kernelByName(name).source);
+        for (Addr xpc = prog.textBase; prog.inText(xpc); xpc += 4) {
+            if (!prog.fetch(xpc).isXloop())
+                continue;
+            xloops++;
+            const ScanInfo si = scanXloop(prog, xpc, RegFile{});
+            ASSERT_EQ(si.ops.size(), (si.bodyEnd - si.bodyStart) / 4);
+            for (size_t i = 0; i < si.ops.size(); i++) {
+                const LaneOp &op = si.ops[i];
+                const Instruction &inst = op.inst;
+                const Addr pc = si.bodyStart + static_cast<Addr>(4 * i);
+                SCOPED_TRACE(strf(name, " pc ", pc));
+                EXPECT_EQ(inst, prog.fetch(pc));
+
+                RegId srcs[2] = {};
+                const unsigned n = inst.srcRegs(srcs);
+                ASSERT_EQ(op.numSrcs, n);
+                for (unsigned s = 0; s < n; s++)
+                    EXPECT_EQ(op.srcs[s], srcs[s]);
+                const RegId dst = inst.destReg();
+                EXPECT_EQ(op.dst, dst);
+                EXPECT_EQ(op.latency, inst.traits().latency);
+                EXPECT_EQ(op.memSize, opMeta(inst.op).memSize);
+
+                EXPECT_EQ(op.isLoad, inst.isLoad());
+                EXPECT_EQ(op.isStore, inst.isStore());
+                EXPECT_EQ(op.isAmo, inst.isAmo());
+                EXPECT_EQ(op.isMem, inst.isMem());
+                EXPECT_EQ(op.isLlfu, inst.isLlfu());
+                EXPECT_EQ(op.unpipelined, inst.op == Op::DIV ||
+                                              inst.op == Op::REM ||
+                                              inst.op == Op::FDIV);
+                EXPECT_EQ(op.isHalt, inst.op == Op::HALT);
+
+                const bool dstIsCir = dst < numArchRegs && si.isCir[dst];
+                EXPECT_EQ(op.dstIsCir, dstIsCir);
+                // The per-issue condition before LaneOp, minus its
+                // dynamic "not pushed yet" half.
+                const bool earlyPush =
+                    si.pattern == LoopPattern::OR && dst < numArchRegs &&
+                    si.isCir[dst] && pc == si.lastCirWritePc[dst] &&
+                    si.earlyPushOk[dst];
+                EXPECT_EQ(op.earlyPush, earlyPush);
+                earlyPushes += earlyPush;
+            }
+        }
+    }
+    EXPECT_GE(xloops, 25u);
+    EXPECT_GT(earlyPushes, 0u);
 }
 
 TEST(Scan, NonXloopPcPanics)
