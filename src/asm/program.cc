@@ -1,5 +1,7 @@
 #include "asm/program.h"
 
+#include <atomic>
+
 #include "common/json.h"
 #include "common/log.h"
 #include "common/rng.h"
@@ -24,6 +26,13 @@ DecodedProgram::DecodedProgram(const Program &prog)
             valid.push_back(false);
         }
     }
+}
+
+u64
+DecodedProgram::nextSerial()
+{
+    static std::atomic<u64> last{0};
+    return last.fetch_add(1, std::memory_order_relaxed) + 1;
 }
 
 void

@@ -57,10 +57,17 @@ class DecodedProgram
     size_t numInsts() const { return insts.size(); }
     Addr textBase() const { return base; }
 
+    /** Nonzero number unique to each built image (copies share it);
+     *  an image is immutable once built, so equal serials mean equal
+     *  images, even where a later image reuses a freed one's address. */
+    u64 serial() const { return serialNum; }
+
   private:
     [[noreturn]] void badFetch(Addr pc) const;
     [[noreturn]] void badDecode(size_t idx) const;
+    static u64 nextSerial();
 
+    u64 serialNum = nextSerial();
     Addr base = 0;
     std::vector<Instruction> insts;
     std::vector<bool> valid;   ///< decodable at build time

@@ -265,11 +265,13 @@ class ExecCore
 
     /**
      * step() on a concrete memory type, so its loads and stores bind
-     * statically; the LPSU lanes call it on their own `final` memory.
-     * step() is this template on MemIface and stays the entry point
-     * for everyone else: FunctionalExecutor is the switch-dispatch
-     * baseline bench/micro_dispatch measures the threaded executor
-     * against, so it must keep its virtual MainMemory accesses.
+     * statically; the LPSU lanes call it on their own `final` memory
+     * and the GPP commit loop (XloopsSystem::run) on its `final`
+     * MainMemory. step() is this template on MemIface and stays the
+     * entry point for everyone else: FunctionalExecutor is the
+     * switch-dispatch baseline bench/micro_dispatch measures the
+     * threaded executor against, so it must keep its virtual
+     * MainMemory accesses.
      */
     template <class Mem>
     static StepResult stepOn(const Instruction &inst, Addr pc,

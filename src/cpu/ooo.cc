@@ -42,10 +42,12 @@ GsharePredictor::predictAndTrain(Addr pc, bool taken)
 OooCpu::OooCpu(const GppConfig &config)
     : cfg(config), icache(config.icache), dcache(config.dcache)
 {
-    XL_ASSERT(cfg.width >= 1 && cfg.robSize >= cfg.width,
+    XL_ASSERT(cfg.width >= 1 && cfg.robSize >= cfg.width &&
+                  cfg.iqSize >= 1 && cfg.lsqEntries >= 1,
               "bad ooo config");
     robRetire.assign(cfg.robSize, 0);
     iqIssue.assign(cfg.iqSize, 0);
+    storeQueue.resize(cfg.lsqEntries);
     issuePorts.assign(cfg.width, 0);
     memPorts.assign(cfg.memPorts, 0);
 }
@@ -58,6 +60,8 @@ OooCpu::reset()
     std::fill(robRetire.begin(), robRetire.end(), Cycle{0});
     std::fill(iqIssue.begin(), iqIssue.end(), Cycle{0});
     seq = 0;
+    robSlot = 0;
+    iqSlot = 0;
     lastRetire = 0;
     retiredThisCycle = 0;
     retireCycle = 0;
@@ -65,7 +69,8 @@ OooCpu::reset()
     std::fill(issuePorts.begin(), issuePorts.end(), Cycle{0});
     std::fill(memPorts.begin(), memPorts.end(), Cycle{0});
     divFree = 0;
-    storeQueue.clear();
+    sqNext = 0;
+    sqCount = 0;
     bpred.reset();
     icache.flush();
     dcache.flush();
@@ -111,8 +116,6 @@ OooCpu::retire(const Instruction &inst, Addr pc, const StepResult &step)
 
     // ROB window: the entry reused by this instruction must have
     // retired. IQ window: the entry reused must have issued.
-    const size_t robSlot = seq % cfg.robSize;
-    const size_t iqSlot = seq % cfg.iqSize;
     Cycle dispatch = fetchCycle;
     if (robRetire[robSlot] > dispatch) {
         statGroup.add(Stat::RobStallCycles, robRetire[robSlot] - dispatch);
@@ -142,12 +145,15 @@ OooCpu::retire(const Instruction &inst, Addr pc, const StepResult &step)
 
     if (step.memAccess && (inst.isLoad() || inst.isAmo())) {
         issue = allocPort(memPorts, operandsReady);
+        // Store-to-load forwarding from the newest matching store.
         bool forwarded = false;
-        for (auto it = storeQueue.rbegin(); it != storeQueue.rend(); ++it) {
-            if (it->addr == step.memAddr && it->size == step.memSize) {
-                // Store-to-load forwarding from the store queue.
+        size_t slot = sqNext;
+        for (size_t n = 0; n < sqCount; n++) {
+            slot = (slot == 0 ? storeQueue.size() : slot) - 1;
+            const SqEntry &e = storeQueue[slot];
+            if (e.addr == step.memAddr && e.size == step.memSize) {
                 latency = 1;
-                issue = std::max(issue, it->dataReady);
+                issue = std::max(issue, e.dataReady);
                 forwarded = true;
                 statGroup.add(Stat::StlForwards);
                 break;
@@ -167,9 +173,11 @@ OooCpu::retire(const Instruction &inst, Addr pc, const StepResult &step)
         // Store: address/data ready at issue; cache written at commit.
         issue = allocPort(memPorts, operandsReady);
         dcache.access(step.memAddr, true, retireCycle);
-        storeQueue.push_back({step.memAddr, step.memSize, issue + 1});
-        if (storeQueue.size() > cfg.lsqEntries)
-            storeQueue.pop_front();
+        storeQueue[sqNext] = {step.memAddr, step.memSize, issue + 1};
+        if (++sqNext == storeQueue.size())
+            sqNext = 0;
+        if (sqCount < storeQueue.size())
+            sqCount++;
         statGroup.add(Stat::Stores);
     } else if (unpipelined) {
         issue = std::max({operandsReady, divFree});
@@ -218,6 +226,10 @@ OooCpu::retire(const Instruction &inst, Addr pc, const StepResult &step)
     robRetire[robSlot] = ret;
     lastRetire = std::max(lastRetire, ret);
     seq++;
+    if (++robSlot == robRetire.size())
+        robSlot = 0;
+    if (++iqSlot == iqIssue.size())
+        iqSlot = 0;
     statGroup.set(Stat::Cycles, lastRetire);
 }
 
@@ -260,7 +272,10 @@ OooCpu::saveState(JsonWriter &w) const
     w.key("mem_ports");
     writeU64Array(w, memPorts);
     w.key("store_queue").beginArray();
-    for (const SqEntry &e : storeQueue) {
+    for (size_t n = 0; n < sqCount; n++) {  // oldest to newest
+        const SqEntry &e =
+            storeQueue[(sqNext + storeQueue.size() - sqCount + n) %
+                       storeQueue.size()];
         w.beginObject();
         w.field("addr", static_cast<u64>(e.addr));
         w.field("size", static_cast<u64>(e.size));
@@ -291,6 +306,8 @@ OooCpu::loadState(const JsonValue &v)
     fetchedThisCycle = static_cast<unsigned>(
         v.at("fetched_this_cycle").asU64());
     seq = v.at("seq").asU64();
+    robSlot = seq % robRetire.size();
+    iqSlot = seq % iqIssue.size();
     lastRetire = v.at("last_retire").asU64();
     retiredThisCycle = static_cast<unsigned>(
         v.at("retired_this_cycle").asU64());
@@ -312,11 +329,17 @@ OooCpu::loadState(const JsonValue &v)
         fatal("checkpoint regReady size mismatch");
     std::copy(ready.begin(), ready.end(), regReady.begin());
 
-    storeQueue.clear();
-    for (const JsonValue &e : v.at("store_queue").array()) {
-        storeQueue.push_back({static_cast<Addr>(e.at("addr").asU64()),
-                              static_cast<unsigned>(e.at("size").asU64()),
-                              e.at("data_ready").asU64()});
+    const auto &sq = v.at("store_queue").array();
+    if (sq.size() > storeQueue.size())
+        fatal(strf("checkpoint store_queue holds ", sq.size(),
+                   " entries, more than the ", storeQueue.size(),
+                   " the configuration has"));
+    sqCount = sq.size();
+    sqNext = sqCount == storeQueue.size() ? 0 : sqCount;
+    for (size_t n = 0; n < sqCount; n++) {
+        storeQueue[n] = {static_cast<Addr>(sq[n].at("addr").asU64()),
+                         static_cast<unsigned>(sq[n].at("size").asU64()),
+                         sq[n].at("data_ready").asU64()};
     }
     bpred.loadState(v.at("bpred"));
     icache.loadState(v.at("icache"));

@@ -11,7 +11,6 @@
 #define XLOOPS_CPU_OOO_H
 
 #include <array>
-#include <deque>
 #include <vector>
 
 #include "cpu/gpp.h"
@@ -67,10 +66,14 @@ class OooCpu : public GppModel
     Cycle fetchCycle = 0;
     unsigned fetchedThisCycle = 0;
 
-    // Window / retire.
+    // Window / retire. The slot indices advance with seq and wrap:
+    // robSlot == seq % robSize and iqSlot == seq % iqSize, kept without
+    // a division per instruction.
     std::vector<Cycle> robRetire;   ///< ring: retire time per ROB slot
     std::vector<Cycle> iqIssue;     ///< ring: issue time per IQ slot
     u64 seq = 0;
+    size_t robSlot = 0;
+    size_t iqSlot = 0;
     Cycle lastRetire = 0;
     unsigned retiredThisCycle = 0;
     Cycle retireCycle = 0;
@@ -81,14 +84,19 @@ class OooCpu : public GppModel
     std::vector<Cycle> memPorts;
     Cycle divFree = 0;
 
-    // Store queue for forwarding: (addr, size, dataReadyCycle).
+    // Store queue for forwarding: (addr, size, dataReadyCycle), a
+    // ring of lsqEntries slots holding the sqCount newest stores; a
+    // store into a full queue overwrites the oldest. sqNext is the slot
+    // the next store takes.
     struct SqEntry
     {
         Addr addr;
         unsigned size;
         Cycle dataReady;
     };
-    std::deque<SqEntry> storeQueue;
+    std::vector<SqEntry> storeQueue;
+    size_t sqNext = 0;
+    size_t sqCount = 0;
 };
 
 } // namespace xloops

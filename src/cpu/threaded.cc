@@ -8,17 +8,11 @@ void
 ThreadedExecutor::bind(const Program &prog)
 {
     const DecodedProgram &dec = prog.decoded();
-    const u64 h = prog.hash();
-    if (isBound && boundDec == &dec && boundHash == h &&
-        boundBase == dec.textBase() && boundInsts == dec.numInsts())
+    if (dec.serial() == boundSerial)
         return;
     blocks.clear();
     blocks.resize(dec.numInsts());
-    isBound = true;
-    boundDec = &dec;
-    boundHash = h;
-    boundBase = dec.textBase();
-    boundInsts = dec.numInsts();
+    boundSerial = dec.serial();
     generation++;
 }
 
@@ -26,11 +20,7 @@ void
 ThreadedExecutor::invalidate()
 {
     blocks.clear();
-    isBound = false;
-    boundDec = nullptr;
-    boundHash = 0;
-    boundBase = 0;
-    boundInsts = 0;
+    boundSerial = 0;
     generation++;
 }
 
@@ -73,8 +63,9 @@ ThreadedExecutor::buildBlock(const DecodedProgram &dec, Addr pc)
 const ThreadedExecutor::Superblock &
 ThreadedExecutor::blockAt(const DecodedProgram &dec, Addr pc)
 {
-    const size_t idx = static_cast<size_t>((pc - boundBase) / 4);
-    if (pc >= boundBase && pc % 4 == 0 && idx < blocks.size()) {
+    const Addr base = dec.textBase();
+    const size_t idx = static_cast<size_t>((pc - base) / 4);
+    if (pc >= base && pc % 4 == 0 && idx < blocks.size()) {
         auto &slot = blocks[idx];
         if (!slot)
             slot = buildBlock(dec, pc);

@@ -20,8 +20,8 @@
  * FunctionalExecutor::run on every program. tests/test_threaded_exec.cc
  * checks this per opcode; tests/test_kernels.cc checks it per kernel.
  *
- * The block cache is bound to one program identity (content hash +
- * text geometry + predecoded image); executing a different or reloaded
+ * The block cache is bound to one predecoded image, by its serial
+ * number (DecodedProgram::serial); executing a different or reloaded
  * program re-binds and drops every cached block. Checkpoint restore
  * must call invalidate() explicitly — the restored memory image may
  * disagree with a self-modifying program's text without changing the
@@ -126,11 +126,7 @@ class ThreadedExecutor
     StatGroup statGroup;
 
     std::vector<std::unique_ptr<Superblock>> blocks;
-    bool isBound = false;
-    const DecodedProgram *boundDec = nullptr;
-    u64 boundHash = 0;
-    Addr boundBase = 0;
-    size_t boundInsts = 0;
+    u64 boundSerial = 0;  ///< DecodedProgram::serial(); 0 = unbound
     u64 generation = 0;
 };
 

@@ -1,27 +1,8 @@
 #include "isa/instruction.h"
 
 #include "common/log.h"
-#include "isa/op_meta.h"
 
 namespace xloops {
-
-bool
-isXloopOp(Op op)
-{
-    return op >= Op::XLOOP_UC && op <= Op::XLOOP_ORM_DE;
-}
-
-bool
-isDynamicBoundOp(Op op)
-{
-    return op >= Op::XLOOP_UC_DB && op <= Op::XLOOP_UA_DB;
-}
-
-bool
-isDataDepExitOp(Op op)
-{
-    return op == Op::XLOOP_OM_DE || op == Op::XLOOP_ORM_DE;
-}
 
 LoopPattern
 xloopPattern(Op op)
@@ -159,27 +140,6 @@ Instruction::decode(u32 word)
         break;
     }
     return inst;
-}
-
-RegId
-Instruction::destReg() const
-{
-    // r0 writes are discarded; xloops write rIdx in traditional exec.
-    return opMeta(op).writesRd && rd != 0 ? rd : numArchRegs;
-}
-
-unsigned
-Instruction::srcRegs(RegId out[2]) const
-{
-    const OpMeta &m = opMeta(op);
-    unsigned n = 0;
-    if (m.readsRd)
-        out[n++] = rd;  // xloop rIdx, xi MIV
-    if (m.readsRs1)
-        out[n++] = rs1;
-    if (m.readsRs2)
-        out[n++] = rs2;
-    return n;
 }
 
 } // namespace xloops

@@ -24,6 +24,7 @@
 #define XLOOPS_ISA_INSTRUCTION_H
 
 #include "common/types.h"
+#include "isa/op_meta.h"
 #include "isa/opcodes.h"
 
 namespace xloops {
@@ -62,10 +63,27 @@ struct Instruction
     bool isXi() const { return traits().fuClass == FuClass::Xi; }
 
     /** Destination register, or 32 (invalid) when none is written. */
-    RegId destReg() const;
+    RegId
+    destReg() const
+    {
+        // r0 writes are discarded; xloops write rIdx in traditional exec.
+        return opMeta(op).writesRd && rd != 0 ? rd : numArchRegs;
+    }
 
     /** Source registers; count returned, regs written to @p out[0..1]. */
-    unsigned srcRegs(RegId out[2]) const;
+    unsigned
+    srcRegs(RegId out[2]) const
+    {
+        const OpMeta &m = opMeta(op);
+        unsigned n = 0;
+        if (m.readsRd)
+            out[n++] = rd;  // xloop rIdx, xi MIV
+        if (m.readsRs1)
+            out[n++] = rs1;
+        if (m.readsRs2)
+            out[n++] = rs2;
+        return n;
+    }
 
     bool operator==(const Instruction &other) const = default;
 };

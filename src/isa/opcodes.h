@@ -196,13 +196,25 @@ opTraits(Op op)
 }
 
 /** True for all xloop.* opcodes. */
-bool isXloopOp(Op op);
+constexpr bool
+isXloopOp(Op op)
+{
+    return op >= Op::XLOOP_UC && op <= Op::XLOOP_ORM_DE;
+}
 
 /** True for xloop.*.db opcodes. */
-bool isDynamicBoundOp(Op op);
+constexpr bool
+isDynamicBoundOp(Op op)
+{
+    return op >= Op::XLOOP_UC_DB && op <= Op::XLOOP_UA_DB;
+}
 
 /** True for the xloop.*.de (data-dependent exit) extension opcodes. */
-bool isDataDepExitOp(Op op);
+constexpr bool
+isDataDepExitOp(Op op)
+{
+    return op == Op::XLOOP_OM_DE || op == Op::XLOOP_ORM_DE;
+}
 
 /** Data-dependence pattern of an xloop opcode. Panics on non-xloop. */
 LoopPattern xloopPattern(Op op);

@@ -1,5 +1,7 @@
 #include "mem/cache.h"
 
+#include <bit>
+
 #include "common/json.h"
 #include "common/log.h"
 #include "common/serialize.h"
@@ -13,15 +15,20 @@ L1Cache::L1Cache(const CacheConfig &config) : cfg(config)
     if (cfg.assoc == 0 || cfg.sizeBytes % (cfg.lineBytes * cfg.assoc) != 0)
         fatal("cache size must be a multiple of lineBytes * assoc");
     numSets = cfg.sizeBytes / (cfg.lineBytes * cfg.assoc);
+    if (numSets == 0 || (numSets & (numSets - 1)))
+        fatal("cache set count must be a power of two");
+    lineShift = static_cast<unsigned>(std::countr_zero(cfg.lineBytes));
+    setShift = static_cast<unsigned>(std::countr_zero(numSets));
+    setMask = numSets - 1;
     lines.resize(static_cast<size_t>(numSets) * cfg.assoc);
 }
 
 Cycle
 L1Cache::access(Addr addr, bool is_write)
 {
-    const u32 lineAddr = addr / cfg.lineBytes;
-    const u32 set = lineAddr % numSets;
-    const u32 tag = lineAddr / numSets;
+    const u32 lineAddr = addr >> lineShift;
+    const u32 set = lineAddr & setMask;
+    const u32 tag = lineAddr >> setShift;
     Line *base = &lines[static_cast<size_t>(set) * cfg.assoc];
     stamp++;
 

@@ -65,6 +65,11 @@ class L1Cache
 
     CacheConfig cfg;
     u32 numSets;
+    // Line size and set count are powers of two, so the set index and
+    // tag are shifts and a mask, not divisions.
+    unsigned lineShift;
+    unsigned setShift;
+    u32 setMask;
     std::vector<Line> lines;  // numSets * assoc
     u64 stamp = 0;
     StatGroup statGroup;

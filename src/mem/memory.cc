@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <set>
 
 #include "common/json.h"
 #include "common/log.h"
@@ -11,14 +12,11 @@
 namespace xloops {
 
 u8 *
-MainMemory::pageFor(Addr addr)
+MainMemory::pageFor(u32 pageNum)
 {
-    const u32 pageNum = addr >> pageBits;
     auto &page = pages[pageNum];
-    if (!page) {
-        page = std::make_unique<u8[]>(pageSize);
-        std::memset(page.get(), 0, pageSize);
-    }
+    if (!page)
+        page = std::make_unique<u8[]>(pageSize);  // zero-filled, once
     return page.get();
 }
 
@@ -70,14 +68,22 @@ MainMemory::writeFloat(Addr addr, float value)
 void
 MainMemory::loadBytes(Addr base, const std::vector<u8> &bytes)
 {
-    for (size_t i = 0; i < bytes.size(); i++) {
+    // Resolve each page the blob touches once, not once per byte.
+    for (size_t i = 0; i < bytes.size();) {
         const Addr addr = base + static_cast<Addr>(i);
-        u8 *page = pageFor(addr);
-        u8 &ob = page[addr & pageMask];
-        if (ob != bytes[i]) {
-            dig ^= byteContrib(addr, ob) ^ byteContrib(addr, bytes[i]);
-            ob = bytes[i];
+        u8 *page = lookupPage(addr);
+        const Addr off = addr & pageMask;
+        const size_t n = std::min<size_t>(pageSize - off, bytes.size() - i);
+        for (size_t j = 0; j < n; j++) {
+            u8 &ob = page[off + j];
+            const u8 nb = bytes[i + j];
+            if (ob != nb) {
+                const Addr a = addr + static_cast<Addr>(j);
+                dig ^= byteContrib(a, ob) ^ byteContrib(a, nb);
+                ob = nb;
+            }
         }
+        i += n;
     }
 }
 
@@ -85,10 +91,11 @@ void
 MainMemory::copyFrom(const MainMemory &other)
 {
     pages.clear();
-    cachedPageNum = ~u32{0};
-    cachedPage = nullptr;
+    translations.fill(Translation{});
+    pages.reserve(other.pages.size());
     for (const auto &[pageNum, page] : other.pages) {
-        auto copy = std::make_unique<u8[]>(pageSize);
+        // Overwritten in full by the memcpy: no zero-fill first.
+        auto copy = std::make_unique_for_overwrite<u8[]>(pageSize);
         std::memcpy(copy.get(), page.get(), pageSize);
         pages.emplace(pageNum, std::move(copy));
     }
@@ -129,24 +136,40 @@ MainMemory::saveState(JsonWriter &w) const
                   static_cast<unsigned long long>(dig));
     w.field("digest", std::string(digBuf));
 
-    std::vector<u32> pageNums;
+    std::vector<std::pair<u32, const u8 *>> sorted;
+    sorted.reserve(pages.size());
     for (const auto &[pageNum, page] : pages)
-        pageNums.push_back(pageNum);
-    std::sort(pageNums.begin(), pageNums.end());
+        sorted.emplace_back(pageNum, page.get());
+    std::sort(sorted.begin(), sorted.end());
 
+    // One entry per 64 KiB wire unit, whatever the storage page size:
+    // the unit's bytes up to its last nonzero one, so all-zero units
+    // (indistinguishable from untouched ones) are omitted.
+    constexpr unsigned unitShift = unitBits - pageBits;
     w.key("pages").beginObject();
-    for (const u32 pageNum : pageNums) {
-        const u8 *page = pages.at(pageNum).get();
-        // Trim at the last nonzero byte; all-zero pages are omitted
-        // (indistinguishable from untouched ones).
-        size_t len = pageSize;
-        while (len > 0 && page[len - 1] == 0)
-            len--;
-        if (len == 0)
+    std::vector<u8> unit;
+    for (size_t i = 0; i < sorted.size();) {
+        const u32 unitNum = sorted[i].first >> unitShift;
+        unit.clear();
+        for (; i < sorted.size() && sorted[i].first >> unitShift == unitNum;
+             i++) {
+            const u8 *page = sorted[i].second;
+            size_t len = pageSize;
+            while (len > 0 && page[len - 1] == 0)
+                len--;
+            if (len == 0)
+                continue;
+            const size_t start = static_cast<size_t>(sorted[i].first &
+                                                     ((1u << unitShift) - 1))
+                                 << pageBits;
+            unit.resize(start + len);  // zero-fills any untouched gap
+            std::memcpy(unit.data() + start, page, len);
+        }
+        if (unit.empty())
             continue;
         char key[16];
-        std::snprintf(key, sizeof key, "0x%x", pageNum);
-        w.field(key, hexEncode(page, len));
+        std::snprintf(key, sizeof key, "0x%x", unitNum);
+        w.field(key, hexEncode(unit.data(), unit.size()));
     }
     w.endObject();
 }
@@ -155,21 +178,27 @@ void
 MainMemory::loadState(const JsonValue &v)
 {
     pages.clear();
-    cachedPageNum = ~u32{0};
-    cachedPage = nullptr;
+    translations.fill(Translation{});
     dig = 0;
+    std::set<u64> units;
     for (const auto &[key, blob] : v.at("pages").members()) {
-        const u32 pageNum = static_cast<u32>(parseU64(key));
+        const u64 unitNum = parseU64(key);
+        if (unitNum > (~Addr{0} >> unitBits))
+            fatal(strf("checkpoint page key '", key,
+                       "' lies outside the 32-bit address space"));
+        if (!units.insert(unitNum).second)
+            fatal(strf("checkpoint page key '", key, "' repeats a page"));
         const std::vector<u8> bytes = hexDecode(blob.asString());
-        if (bytes.size() > pageSize)
+        if (bytes.size() > unitSize)
             fatal(strf("checkpoint page ", key, " exceeds page size"));
-        auto page = std::make_unique<u8[]>(pageSize);
-        std::memset(page.get(), 0, pageSize);
-        std::memcpy(page.get(), bytes.data(), bytes.size());
-        const Addr base = static_cast<Addr>(pageNum) << pageBits;
+        const Addr base = static_cast<Addr>(unitNum) << unitBits;
         for (size_t i = 0; i < bytes.size(); i++)
             dig ^= byteContrib(base + static_cast<Addr>(i), bytes[i]);
-        pages.emplace(pageNum, std::move(page));
+        for (size_t off = 0; off < bytes.size(); off += pageSize) {
+            u8 *page = pageFor((base + static_cast<Addr>(off)) >> pageBits);
+            std::memcpy(page, bytes.data() + off,
+                        std::min<size_t>(pageSize, bytes.size() - off));
+        }
     }
     const u64 expect = parseU64(v.at("digest").asString());
     if (dig != expect)

@@ -17,6 +17,7 @@
 #ifndef XLOOPS_MEM_MEMORY_H
 #define XLOOPS_MEM_MEMORY_H
 
+#include <array>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -46,12 +47,13 @@ class MemIface
 };
 
 /** Sparse paged main memory. */
-class MainMemory : public MemIface
+class MainMemory final : public MemIface
 {
   public:
-    // read/write are defined inline (with a one-entry page-translation
-    // cache in front of the sparse page map) so callers holding a
-    // concrete MainMemory — the threaded interpreter's hot loop —
+    // read/write are defined inline (with a direct-mapped
+    // page-translation cache in front of the sparse page map) so
+    // callers holding a concrete MainMemory — the threaded
+    // interpreter's hot loop, the GPP commit loop, the LPSU lanes —
     // devirtualize and inline the whole access. Callers going through
     // MemIface still dispatch virtually to the same code.
     u32
@@ -113,16 +115,29 @@ class MainMemory : public MemIface
      */
     static Addr firstDifference(const MainMemory &a, const MainMemory &b);
 
-    /** Emit {"digest": "0x..", "pages": {"0x..": "hex..", ..}}. */
+    /**
+     * Emit {"digest": "0x..", "pages": {"0x..": "hex..", ..}}: one
+     * entry per 64 KiB wire unit (key addr >> 16), holding the unit's
+     * bytes up to its last nonzero one; all-zero units are omitted.
+     */
     void saveState(JsonWriter &w) const;
 
-    /** Restore pages and recompute the digest from scratch. */
+    /** Restore pages and recompute the digest from scratch. Throws
+     *  FatalError on a unit key above 0xffff or a repeated unit. */
     void loadState(const JsonValue &v);
 
   private:
-    static constexpr unsigned pageBits = 16;
+    /** Storage page: a kernel's text and its few KiB of data
+     *  allocate, zero and copy only the 4 KiB pages they touch. */
+    static constexpr unsigned pageBits = 12;
     static constexpr Addr pageSize = 1u << pageBits;
     static constexpr Addr pageMask = pageSize - 1;
+    /** Checkpoint wire unit (xloops-ckpt-1): 16 storage pages. */
+    static constexpr unsigned unitBits = 16;
+    static constexpr Addr unitSize = 1u << unitBits;
+    /** Translation-cache slots, indexed by the page number's low four
+     *  bits, so a kernel's arrays on nearby pages keep a slot each. */
+    static constexpr unsigned translationSlots = 16;
 
     /** Digest contribution of byte @p b at @p addr (zero bytes: 0). */
     static u64
@@ -142,7 +157,15 @@ class MainMemory : public MemIface
                        std::hex, addr));
     }
 
-    /** One-entry page-translation cache over the sparse map. Page
+    /** One translation: a page number (~0 never matches, as page
+     *  numbers fit in 20 bits) and its page array. */
+    struct Translation
+    {
+        u32 pageNum = ~u32{0};
+        u8 *page = nullptr;
+    };
+
+    /** Direct-mapped translation cache over the sparse map. Page
      *  arrays are pointer-stable across map growth; the cache is
      *  dropped whenever the map itself is rebuilt (copyFrom /
      *  loadState). */
@@ -150,20 +173,20 @@ class MainMemory : public MemIface
     lookupPage(Addr addr)
     {
         const u32 pageNum = addr >> pageBits;
-        if (pageNum == cachedPageNum)
-            return cachedPage;
-        u8 *page = pageFor(addr);
-        cachedPageNum = pageNum;
-        cachedPage = page;
-        return page;
+        Translation &t = translations[pageNum & (translationSlots - 1)];
+        if (t.pageNum != pageNum) {
+            t.page = pageFor(pageNum);
+            t.pageNum = pageNum;
+        }
+        return t.page;
     }
 
-    u8 *pageFor(Addr addr);
+    /** Page @p pageNum, allocated zero-filled on first touch. */
+    u8 *pageFor(u32 pageNum);
 
     std::unordered_map<u32, std::unique_ptr<u8[]>> pages;
     u64 dig = 0;
-    u32 cachedPageNum = ~u32{0};
-    u8 *cachedPage = nullptr;
+    std::array<Translation, translationSlots> translations{};
 };
 
 } // namespace xloops

@@ -231,12 +231,16 @@ XloopsSystem::run(const Program &prog, ExecMode mode, u64 maxInsts,
                   opts.checkpointEvery
             : ~u64{0};
 
+    // Fixed for the run: only a system with an LPSU, outside
+    // traditional mode, hands hinted xloops to it.
+    const bool specializing = cfg.hasLpsu && mode != ExecMode::Traditional;
+    const bool adaptive = specializing && mode == ExecMode::Adaptive;
     const DecodedProgram &dec = prog.decoded();
     while (!rs.halted) {
         const Instruction &inst = dec.fetch(rs.pc);
+        const bool xloop = inst.isXloop();
 
-        if (inst.isXloop() && inst.hint && cfg.hasLpsu &&
-            mode != ExecMode::Traditional) {
+        if (xloop && inst.hint && specializing) {
             // xloop-entry sync point: the LPSU is about to (possibly)
             // take the loop; the shadow must agree on the state the
             // specialized iterations start from.
@@ -259,8 +263,8 @@ XloopsSystem::run(const Program &prog, ExecMode mode, u64 maxInsts,
         }
 
         const Cycle stepCycle = gpp->now();
-        const StepResult step =
-            ExecCore::step(inst, rs.pc, rs.regs, mem, stepCycle);
+        const StepResult step = ExecCore::stepOn<MainMemory>(
+            inst, rs.pc, rs.regs, mem, stepCycle);
         gpp->retire(inst, rs.pc, step);
         rs.result.gppInsts++;
         if (checker) {
@@ -268,14 +272,12 @@ XloopsSystem::run(const Program &prog, ExecMode mode, u64 maxInsts,
                                 rs.result.gppInsts);
         }
 
-        if (inst.isXloop() && inst.hint && cfg.hasLpsu &&
-            mode == ExecMode::Adaptive) {
+        if (xloop && inst.hint && adaptive)
             adaptivePost(rs.pc, step.branchTaken);
-        }
 
         // A taken xloop back-branch is one traditionally executed
         // iteration (the LPSU accounts specialized ones itself).
-        if (profiler && inst.isXloop() && step.branchTaken) {
+        if (profiler && xloop && step.branchTaken) {
             LoopProfile &lp = profiler->loop(rs.pc);
             lp.tradIters++;
             if (lp.pattern.empty())

@@ -5,7 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 #include "asm/assembler.h"
+#include "common/json.h"
 #include "common/sim_error.h"
 #include "cpu/inorder.h"
 #include "cpu/ooo.h"
@@ -263,6 +266,93 @@ TEST(Ooo, StoreToLoadForwardingAvoidsCachePenalty)
     OooCpu ooo(oooCfg(2));
     cyclesFor(src, ooo);
     EXPECT_GT(ooo.stats().get(Stat::StlForwards), 50u);
+}
+
+// Forwarding takes the newest matching store. After lsqEntries - 1
+// stores fill the ring up to its last slot, store A writes early data
+// there and store B wraps to the first slot with late data from a
+// chain of divides. Whether A writes the load's word or the next one,
+// the load forwards from B and waits for the divides, so both runs take
+// the same cycles; an oldest-first scan would forward A's early data.
+// ooo/4 has two memory ports, so the load is not queued behind B.
+TEST(Ooo, ForwardingTakesTheNewestMatchingStore)
+{
+    auto run = [](int offsetOfA) {
+        const GppConfig cfg = oooCfg(4);
+        std::string src = "  li r1, 0\n  li r2, " +
+                          std::to_string(cfg.lsqEntries - 1) +
+                          "\n  li r3, 7\n"
+                          "  la r5, d\n"
+                          "fill:\n"
+                          "  sw r3, 64(r5)\n"
+                          "  xloop.uc r1, r2, fill\n"
+                          "  sw r3, " + std::to_string(offsetOfA) + "(r5)\n"
+                          "  div r4, r2, r3\n";
+        for (int i = 0; i < 7; i++)
+            src += "  div r4, r4, r3\n";
+        src += "  sw r4, 0(r5)\n  lw r6, 0(r5)\n";
+        for (int i = 0; i < 8; i++)
+            src += "  mul r6, r6, r6\n";
+        src += "  halt\n  .data\nd: .space 128\n";
+        OooCpu ooo(cfg);
+        const Cycle cycles = cyclesFor(src, ooo);
+        EXPECT_EQ(ooo.stats().get(Stat::StlForwards), 1u);
+        return cycles;
+    };
+    EXPECT_EQ(run(0), run(4));
+}
+
+std::string
+stateText(const GppModel &model)
+{
+    std::ostringstream os;
+    JsonWriter w(os, /*pretty=*/false);
+    w.beginObject();
+    model.saveState(w);
+    w.endObject();
+    return os.str();
+}
+
+// The store queue is a ring of lsqEntries slots: after 64 stores it has
+// wrapped, its checkpoint text survives a round trip, and a checkpoint
+// holding more stores than the configuration's queue is refused.
+TEST(Ooo, StoreQueueRingRoundTripsAndRejectsOverflow)
+{
+    const std::string src =
+        "  li r1, 0\n"
+        "  li r2, 64\n"
+        "  la r5, d\n"
+        "body:\n"
+        "  slli r6, r1, 2\n"
+        "  add r6, r6, r5\n"
+        "  sw r1, 0(r6)\n"
+        "  xloop.uc r1, r2, body\n"
+        "  halt\n"
+        "  .data\n"
+        "d: .space 256\n";
+    OooCpu ooo(oooCfg(2));
+    cyclesFor(src, ooo);
+    const std::string text = stateText(ooo);
+    const JsonValue state = jsonParse(text);
+    ASSERT_EQ(state.at("store_queue").array().size(), 16u);
+    EXPECT_EQ(state.at("store_queue").array().back().at("addr").asU64(),
+              assemble(src).symbol("d") + 63 * 4);
+
+    OooCpu back(oooCfg(2));
+    back.loadState(state);
+    EXPECT_EQ(stateText(back), text);
+
+    GppConfig small = oooCfg(2);
+    small.lsqEntries = 4;
+    OooCpu tiny(small);
+    try {
+        tiny.loadState(state);
+        FAIL() << "restore accepted 16 stores into a 4-entry queue";
+    } catch (const FatalError &err) {
+        EXPECT_NE(std::string(err.what()).find("store_queue"),
+                  std::string::npos)
+            << err.what();
+    }
 }
 
 TEST(Ooo, RobLimitsWindow)

@@ -3,7 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+
+#include "common/json.h"
 #include "common/log.h"
+#include "common/rng.h"
 #include "mem/cache.h"
 #include "mem/memory.h"
 
@@ -35,14 +39,147 @@ TEST(MainMemory, SubWordWrites)
     EXPECT_EQ(mem.readWord(0x200), 0xccddbbaau);
 }
 
+// A blob loaded across 4 KiB and 64 KiB page boundaries, over bytes
+// already written, equals the same bytes written one at a time.
 TEST(MainMemory, CrossPageBlob)
 {
+    std::vector<u8> blob(9000);
+    for (size_t i = 0; i < blob.size(); i++)
+        blob[i] = static_cast<u8>(i * 7 + 1);
+    blob[100] = 0;
+    const Addr base = (1u << 16) - 4096 - 50;
+    MainMemory bulk, bytewise;
+    bulk.writeWord(0xf000, 0xdeadbeef);
+    bytewise.writeWord(0xf000, 0xdeadbeef);
+    bulk.loadBytes(base, blob);
+    for (size_t i = 0; i < blob.size(); i++)
+        bytewise.write(base + static_cast<Addr>(i), 1, blob[i]);
+    for (size_t i = 0; i < blob.size(); i++)
+        ASSERT_EQ(bulk.read(base + static_cast<Addr>(i), 1), blob[i]) << i;
+    EXPECT_EQ(bulk.digest(), bytewise.digest());
+    EXPECT_EQ(MainMemory::firstDifference(bulk, bytewise), ~Addr{0});
+}
+
+// A flat byte array is the reference model. The window spans 48 4 KiB
+// pages across a 64 KiB unit boundary, so pages 16 apart share a
+// translation-cache slot and random accesses keep evicting each other.
+TEST(MainMemory, MatchesFlatReferenceModel)
+{
+    constexpr Addr base = 0x0f8000;
+    constexpr Addr span = 48 * 4096;
+    std::vector<u8> ref(span, 0);
     MainMemory mem;
-    std::vector<u8> blob(100, 0x5a);
-    const Addr base = (1u << 16) - 50;  // straddles a 64KB page boundary
-    mem.loadBytes(base, blob);
-    for (unsigned i = 0; i < 100; i++)
-        EXPECT_EQ(mem.read(base + i, 1), 0x5au) << i;
+    Rng rng(7);
+    for (int n = 0; n < 200000; n++) {
+        const unsigned size = 1u << rng.nextBelow(3);
+        const Addr off = rng.nextBelow(span / size) * size;
+        if (rng.nextBelow(2) == 0) {
+            const u32 value = static_cast<u32>(rng.next());
+            mem.write(base + off, size, value);
+            for (unsigned i = 0; i < size; i++)
+                ref[off + i] = static_cast<u8>(value >> (8 * i));
+        } else {
+            u32 expect = 0;
+            for (unsigned i = 0; i < size; i++)
+                expect |= static_cast<u32>(ref[off + i]) << (8 * i);
+            ASSERT_EQ(mem.read(base + off, size), expect)
+                << "op " << n << " at 0x" << std::hex << base + off;
+        }
+    }
+    for (Addr off = 0; off < span; off++)
+        ASSERT_EQ(mem.read(base + off, 1), ref[off]) << off;
+    MainMemory flat;
+    flat.loadBytes(base, ref);
+    EXPECT_EQ(mem.digest(), flat.digest());
+    EXPECT_EQ(MainMemory::firstDifference(mem, flat), ~Addr{0});
+}
+
+TEST(MainMemory, CopyThenDivergeNamesFirstDifference)
+{
+    MainMemory a;
+    for (Addr addr = 0x1000; addr < 0x9000; addr += 4)
+        a.writeWord(addr, addr * 3 + 1);
+    a.writeWord(0x100000, 42);
+    MainMemory b;
+    b.writeWord(0x500, 9);  // dropped by the copy
+    b.copyFrom(a);
+    EXPECT_EQ(a.digest(), b.digest());
+    EXPECT_EQ(MainMemory::firstDifference(a, b), ~Addr{0});
+    EXPECT_EQ(b.readWord(0x500), 0u);
+    EXPECT_EQ(b.readWord(0x7ffc), a.readWord(0x7ffc));
+
+    b.write(0x8001, 1, 0x77);
+    b.write(0x2002, 1, 0x66);
+    EXPECT_NE(a.digest(), b.digest());
+    EXPECT_EQ(MainMemory::firstDifference(a, b), 0x2002u);
+    b.write(0x2002, 1, a.read(0x2002, 1));
+    EXPECT_EQ(MainMemory::firstDifference(a, b), 0x8001u);
+    b.write(0x8001, 1, a.read(0x8001, 1));
+    EXPECT_EQ(a.digest(), b.digest());
+    EXPECT_EQ(MainMemory::firstDifference(a, b), ~Addr{0});
+
+    // A page only one side holds compares as zeros.
+    b.write(0x300001, 1, 5);
+    EXPECT_EQ(MainMemory::firstDifference(a, b), 0x300001u);
+    EXPECT_NE(a.digest(), b.digest());
+    b.write(0x300001, 1, 0);
+    EXPECT_EQ(a.digest(), b.digest());
+}
+
+std::string
+saveText(const MainMemory &mem)
+{
+    std::ostringstream os;
+    JsonWriter w(os, /*pretty=*/false);
+    w.beginObject();
+    mem.saveState(w);
+    w.endObject();
+    return os.str();
+}
+
+// saveState -> loadState -> saveState is the identity on the text:
+// a unit with a zero first page, a zero gap between pages, trailing
+// zeros, a touched but all-zero page and a unit at the top of memory.
+TEST(MainMemory, SaveLoadSaveRoundTrip)
+{
+    MainMemory mem;
+    mem.writeWord(0x1000, 0x11);
+    mem.writeWord(0x3ff8, 0x22000000);
+    mem.writeWord(0x100000, 0x33);
+    mem.writeWord(0x10fff0, 0x44);
+    mem.write(0x250000, 1, 0);  // touched, still zero: no entry
+    mem.writeWord(0xfffffffc, 0x55);
+    const std::string text = saveText(mem);
+    EXPECT_EQ(text.find("\"0x25\""), std::string::npos) << text;
+    EXPECT_NE(text.find("\"0xffff\""), std::string::npos) << text;
+
+    MainMemory back;
+    back.loadState(jsonParse(text));
+    EXPECT_EQ(back.digest(), mem.digest());
+    EXPECT_EQ(MainMemory::firstDifference(mem, back), ~Addr{0});
+    EXPECT_EQ(saveText(back), text);
+}
+
+// A unit key names addr >> 16, so one above 0xffff would wrap onto a
+// unit no access reaches; a unit named twice is as malformed.
+TEST(MainMemory, LoadStateRejectsOutOfRangeAndRepeatedUnits)
+{
+    auto loadError = [](const std::string &pages) {
+        MainMemory mem;
+        try {
+            mem.loadState(jsonParse(
+                "{\"digest\": \"0x0\", \"pages\": {" + pages + "}}"));
+        } catch (const FatalError &err) {
+            return std::string(err.what());
+        }
+        return std::string("accepted");
+    };
+    EXPECT_NE(loadError("\"0x10010\": \"01\"").find(
+                  "page key '0x10010' lies outside"),
+              std::string::npos);
+    EXPECT_NE(loadError("\"0x10\": \"01\", \"16\": \"01\"")
+                  .find("page key '16' repeats"),
+              std::string::npos);
 }
 
 TEST(MainMemory, MisalignedAccessThrows)
@@ -132,6 +269,11 @@ TEST(L1Cache, BadConfigRejected)
     CacheConfig cfg2;
     cfg2.sizeBytes = 100;
     EXPECT_THROW(L1Cache{cfg2}, FatalError);
+    CacheConfig cfg3;  // 3 sets: not a power of two
+    cfg3.sizeBytes = 96;
+    cfg3.assoc = 1;
+    cfg3.lineBytes = 32;
+    EXPECT_THROW(L1Cache{cfg3}, FatalError);
 }
 
 TEST(L1Cache, DatasetFittingInCacheHasOnlyCompulsoryMisses)

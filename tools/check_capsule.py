@@ -6,13 +6,18 @@ tests) matches the xloops-capsule-1 schema: run identity, fault spec,
 error payload (with the divergence first-mismatch record when the
 error is a lockstep divergence), the embedded program image and
 initial memory, and the embedded xloops-ckpt-1 checkpoint's
-consistency with the capsule's own program hash. Used by CI and the
-cli_check_capsule ctest; exits non-zero with a message on the first
+consistency with the capsule's own program hash. Both memory images
+(initial_mem and the checkpoint's mem) are checked byte for byte: one
+entry per 64 KiB unit keyed 0x0-0xffff, trimmed at a nonzero last
+byte, and a digest equal to the XOR of mix64((addr << 8) | byte) over
+every nonzero byte (src/mem/memory.h). Used by CI and the
+cli_check_capsule ctests; exits non-zero with a message on the first
 violation.
 """
 
 import argparse
 import json
+import re
 import sys
 
 DIVERGENCE_SITES = ("xloop-entry", "xloop-exit", "control",
@@ -43,6 +48,47 @@ def check_hex(value, ctx):
         int(value, 16)
     except ValueError:
         fail(f"{ctx}: not a hex literal: {value!r}")
+
+
+MASK64 = (1 << 64) - 1
+UNIT_BYTES = 1 << 16  # checkpoint memory wire unit
+
+
+def mix64(x):
+    """splitmix64 finalizer, as src/common/rng.h."""
+    x = (x + 0x9E3779B97F4A7C15) & MASK64
+    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & MASK64
+    return x ^ (x >> 31)
+
+
+def check_mem_image(mem, ctx):
+    """Keys, trimmed hex values and the content digest of a memory
+    image ({"digest": .., "pages": {unit key: hex}})."""
+    require(mem, ("digest", "pages"), ctx)
+    check_hex(mem["digest"], f"{ctx}.digest")
+    digest = 0
+    for key, blob in mem["pages"].items():
+        where = f"{ctx}.pages[{key!r}]"
+        check_hex(key, f"{ctx}.pages key")
+        unit = int(key, 16)
+        if unit > 0xFFFF:
+            fail(f"{where}: key outside the 32-bit address space")
+        if (not isinstance(blob, str) or len(blob) % 2
+                or len(blob) > 2 * UNIT_BYTES
+                or not re.fullmatch("[0-9a-fA-F]*", blob)):
+            fail(f"{where}: not an even-length hex string of at most "
+                 f"{2 * UNIT_BYTES} characters")
+        data = bytes.fromhex(blob)
+        if not data or data[-1] == 0:
+            fail(f"{where}: not trimmed at a nonzero last byte")
+        base = unit << 16
+        for off, byte in enumerate(data):
+            if byte:
+                digest ^= mix64(((base + off) << 8) | byte)
+    if digest != int(mem["digest"], 16):
+        fail(f"{ctx}.digest {mem['digest']} does not match its pages "
+             f"(0x{digest:016x})")
 
 
 def check_divergence(div, ctx):
@@ -108,13 +154,9 @@ def check_capsule(path):
     except ValueError:
         fail("program.text is not a hex string")
 
-    mem = doc["initial_mem"]
-    require(mem, ("digest", "pages"), "initial_mem")
-    check_hex(mem["digest"], "initial_mem.digest")
-    if not mem["pages"]:
+    check_mem_image(doc["initial_mem"], "initial_mem")
+    if not doc["initial_mem"]["pages"]:
         fail("initial_mem has no pages (no program image?)")
-    for addr in mem["pages"]:
-        check_hex(addr, "initial_mem.pages key")
 
     if "checkpoint" in doc:
         ckpt = doc["checkpoint"]
@@ -128,6 +170,7 @@ def check_capsule(path):
                      f"the capsule's ({doc[key]!r})")
         if ckpt["inst_count"] != doc["checkpoint_inst"]:
             fail("checkpoint.inst_count does not match checkpoint_inst")
+        check_mem_image(ckpt["mem"], "checkpoint.mem")
         # A diagnosis/divergence capsule embeds the nearest checkpoint
         # *strictly prior* to the failure so replay can run into it. A
         # cooperative stop (interrupted/deadline/cancelled) instead
