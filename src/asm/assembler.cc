@@ -365,15 +365,24 @@ Parser::handleInst(const std::string &mnem, const std::string &rest)
 void
 Parser::handleDirective(const std::string &dir, const std::string &rest)
 {
-    auto addData = [this](std::vector<u8> bytes, std::string word_sym = "") {
+    // The data segment must end inside the 32-bit address space: a
+    // directive that would carry it past 0xffffffff is an error,
+    // checked in 64 bits before its bytes are allocated.
+    auto checkFits = [&](u64 bytes) {
+        if (u64{dataBase} + dataCursor + bytes > (u64{1} << 32))
+            err(strf(dir, " of ", bytes, " bytes ends the data segment "
+                     "past 0xffffffff"));
+    };
+    auto addData = [&](std::vector<u8> bytes, std::string word_sym = "") {
         Item item;
         item.kind = Item::Data;
         item.bytes = std::move(bytes);
         item.wordSym = std::move(word_sym);
         item.addr = dataBase + dataCursor;
         item.line = lineNo;
-        dataCursor += item.wordSym.empty()
-                      ? static_cast<Addr>(item.bytes.size()) : 4;
+        const u64 size = item.wordSym.empty() ? item.bytes.size() : 4;
+        checkFits(size);
+        dataCursor += static_cast<Addr>(size);
         dataItems.push_back(std::move(item));
     };
 
@@ -437,6 +446,7 @@ Parser::handleDirective(const std::string &dir, const std::string &rest)
         const i64 n = parseNumber(rest, ok);
         if (!ok || n < 0)
             err("bad .space size");
+        checkFits(static_cast<u64>(n));
         addData(std::vector<u8>(static_cast<size_t>(n), 0));
         return;
     }
@@ -445,10 +455,13 @@ Parser::handleDirective(const std::string &dir, const std::string &rest)
         const i64 a = parseNumber(rest, ok);
         if (!ok || a <= 0 || (a & (a - 1)))
             err("bad .align");
-        const Addr mask = static_cast<Addr>(a - 1);
-        const Addr pad = (static_cast<Addr>(a) - (dataCursor & mask)) & mask;
+        // Pad to the next address that is a multiple of a.
+        const u64 mask = static_cast<u64>(a) - 1;
+        const u64 at = u64{dataBase} + dataCursor;
+        const u64 pad = (static_cast<u64>(a) - (at & mask)) & mask;
+        checkFits(pad);
         if (pad)
-            addData(std::vector<u8>(pad, 0));
+            addData(std::vector<u8>(static_cast<size_t>(pad), 0));
         return;
     }
     err(strf("unknown directive '", dir, "'"));

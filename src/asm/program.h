@@ -117,9 +117,12 @@ class Program
      * The predecoded image — the hot-path alternative to fetch().
      * Built on first use, cached, and shared by copies (the cache is
      * immutable once built). The text segment must not be mutated
-     * after the first call; simulators only call this on fully
-     * assembled programs, and each sweep worker owns its Program, so
-     * the lazy build needs no locking.
+     * after the first call. The lazy build is not locked: a Program
+     * one thread owns may build it on demand, but a Program that
+     * threads share must have it built before it is published. Kernel
+     * images (kernels/kernel.h) are shared by every sweep worker and
+     * service job that runs their binary, so they build it inside
+     * their std::call_once and are never mutated after.
      */
     const DecodedProgram &
     decoded() const

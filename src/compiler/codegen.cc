@@ -559,9 +559,9 @@ CodeGen::compile(const std::vector<Stmt> &topLevel)
             out << "\n";
             if (decl.words > decl.init.size())
                 out << "  .space "
-                    << 4 * (decl.words - decl.init.size()) << "\n";
+                    << 4 * (u64{decl.words} - decl.init.size()) << "\n";
         } else {
-            out << " .space " << 4 * decl.words << "\n";
+            out << " .space " << 4 * u64{decl.words} << "\n";
         }
     }
     return out.str();

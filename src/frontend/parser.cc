@@ -2,6 +2,8 @@
 
 #include <set>
 
+#include "asm/program.h"
+
 namespace xloops {
 
 const ArrayDeclInfo *
@@ -124,6 +126,16 @@ class Parser
                                     "' must have positive size",
                                 kw.line, kw.col);
         decl.words = static_cast<unsigned>(words);
+        // Arrays sit back to back from dataBaseDefault; the last must
+        // end inside the 32-bit address space.
+        u64 end = u64{dataBaseDefault} + 4 * u64{decl.words};
+        for (const ArrayDeclInfo &a : mod.arrays)
+            end += 4 * u64{a.words};
+        if (end > u64{1} << 32)
+            throw FrontendError(strf("array '", decl.name, "' of ", words,
+                                     " words ends the data segment past "
+                                     "0xffffffff"),
+                                kw.line, kw.col);
         expect("]");
         if (eat("=")) {
             expect("{");

@@ -1,6 +1,9 @@
 #include "kernels/kernel.h"
 
 #include <algorithm>
+#include <functional>
+#include <memory>
+#include <mutex>
 #include <sstream>
 
 #include "asm/assembler.h"
@@ -120,32 +123,80 @@ serializeToGpIsa(const std::string &source)
     return out.str();
 }
 
-std::string
-checkAgainstGolden(const Kernel &kernel, const Program &prog,
-                   MainMemory &mem, u64 &goldenInsts)
+namespace {
+
+/** One image slot per (registry entry, binary). */
+struct ImageSlot
 {
-    // Serial golden model on an identical memory image.
+    std::once_flag built;
+    std::unique_ptr<const KernelImage> image;
+};
+
+std::unique_ptr<const KernelImage>
+buildImage(const Kernel &kernel, bool gpIsaBinary)
+{
+    auto image = std::make_unique<KernelImage>();
+    Program &prog = image->program;
+    prog = assemble(gpIsaBinary ? serializeToGpIsa(kernel.source)
+                                : kernel.source);
+    prog.decoded();
+
+    // The serial golden model, on a memory image set up exactly as
+    // every run's is.
     MainMemory golden;
     prog.loadInto(golden);
     if (kernel.setup)
         kernel.setup(golden, prog);
-    ThreadedExecutor exec(golden);
-    goldenInsts = exec.run(prog).dynInsts;
+    image->goldenInsts = ThreadedExecutor(golden).run(prog).dynInsts;
+    for (const auto &[symbol, words] : kernel.outputs) {
+        const Addr base = prog.symbol(symbol);
+        std::vector<u32> &out = image->goldenOutputs.emplace_back(words);
+        for (unsigned i = 0; i < words; i++)
+            out[i] = golden.readWord(base + 4 * i);
+    }
+    return image;
+}
 
+} // namespace
+
+const KernelImage &
+kernelImage(const Kernel &kernel, bool gpIsaBinary)
+{
+    const std::vector<Kernel> &all = kernelRegistry();
+    static std::vector<ImageSlot> slots(2 * all.size());
+    const std::less<const Kernel *> before;
+    if (before(&kernel, all.data()) ||
+        !before(&kernel, all.data() + all.size()))
+        panic(strf("kernel '", kernel.name,
+                   "' is not a kernelRegistry() entry"));
+    ImageSlot &slot = slots[2 * (&kernel - all.data()) + gpIsaBinary];
+    std::call_once(slot.built, [&] {
+        slot.image = buildImage(kernel, gpIsaBinary);
+    });
+    return *slot.image;
+}
+
+std::string
+checkAgainstGolden(const Kernel &kernel, const KernelImage &image,
+                   MainMemory &mem)
+{
+    XL_ASSERT(image.goldenOutputs.size() == kernel.outputs.size(),
+              kernel.name, ": image of another kernel");
     if (kernel.deterministic) {
-        for (const auto &[symbol, words] : kernel.outputs) {
-            const Addr base = prog.symbol(symbol);
-            for (unsigned i = 0; i < words; i++) {
+        for (size_t r = 0; r < kernel.outputs.size(); r++) {
+            const std::string &symbol = kernel.outputs[r].first;
+            const std::vector<u32> &want = image.goldenOutputs[r];
+            const Addr base = image.program.symbol(symbol);
+            for (unsigned i = 0; i < want.size(); i++) {
                 const u32 got = mem.readWord(base + 4 * i);
-                const u32 want = golden.readWord(base + 4 * i);
-                if (got != want)
+                if (got != want[i])
                     return strf(kernel.name, ": ", symbol, "[", i,
-                                "] = ", got, ", serial = ", want);
+                                "] = ", got, ", serial = ", want[i]);
             }
         }
     }
     std::string why;
-    if (kernel.check && !kernel.check(mem, prog, why))
+    if (kernel.check && !kernel.check(mem, image.program, why))
         return kernel.name + ": " + why;
     return "";
 }
@@ -154,22 +205,21 @@ KernelRun
 runKernel(const Kernel &kernel, const SysConfig &cfg, ExecMode mode,
           bool useGpIsaBinary, const RunHooks &hooks)
 {
-    KernelRun run;
-    const std::string src =
-        useGpIsaBinary ? serializeToGpIsa(kernel.source) : kernel.source;
-    const Program prog = assemble(src);
+    const KernelImage &image = kernelImage(kernel, useGpIsaBinary);
+    const Program &prog = image.program;
 
     XloopsSystem sys(cfg);
     sys.loadProgram(prog);
     if (kernel.setup)
         kernel.setup(sys.memory(), prog);
     sys.setObserver(hooks.tracer, hooks.profiler);
+
+    KernelRun run;
     run.result = sys.run(prog, mode, hooks.maxInsts,
                          hooks.runOptions ? *hooks.runOptions
                                           : RunOptions{});
-
-    run.error = checkAgainstGolden(kernel, prog, sys.memory(),
-                                   run.xlDynInsts);
+    run.xlDynInsts = image.goldenInsts;
+    run.error = checkAgainstGolden(kernel, image, sys.memory());
     run.passed = run.error.empty();
     return run;
 }

@@ -69,8 +69,9 @@ std::string serializeToGpIsa(const std::string &source);
 struct KernelRun
 {
     SysResult result;
-    u64 xlDynInsts = 0;      ///< dynamic instructions of the XLOOPS
-                             ///< binary under serial semantics
+    u64 xlDynInsts = 0;      ///< dynamic instructions of the binary
+                             ///< run (XLOOPS or GP-ISA) under serial
+                             ///< semantics
     bool passed = false;
     std::string error;
 };
@@ -92,18 +93,51 @@ struct RunHooks
 };
 
 /**
- * Validate @p mem, the final memory image of a run of @p prog, against
- * the serial golden model: run @p prog functionally on a fresh image
- * set up by @p kernel, compare the kernel's output regions when it is
- * deterministic, then apply its semantic check. Returns an empty
- * string when @p mem validates, else the first mismatch. The golden
- * run's dynamic instruction count goes to @p goldenInsts.
+ * The immutable artefacts of one (registry kernel, binary) pair:
+ * everything about a kernel run that depends on the binary alone.
+ * Every cell that runs the binary reads the same image; only the
+ * per-run state (memory, timing run, comparison, semantic check)
+ * belongs to the cell.
  */
-std::string checkAgainstGolden(const Kernel &kernel, const Program &prog,
-                               MainMemory &mem, u64 &goldenInsts);
+struct KernelImage
+{
+    Program program;      ///< assembled, with decoded() already built
+    u64 goldenInsts = 0;  ///< the serial golden model's dynamic insts
+
+    /** The golden model's final words of each Kernel::outputs
+     *  region, in the order of Kernel::outputs. */
+    std::vector<std::vector<u32>> goldenOutputs;
+};
 
 /**
- * Assemble, set up, run, and validate @p kernel.
+ * The image of @p kernel's XLOOPS binary, or of its serialized GP-ISA
+ * twin when @p gpIsaBinary. Built on first use (assemble, predecode,
+ * set up a fresh memory image, run the serial golden model, keep the
+ * output words) under a per-image std::call_once, and kept unchanged
+ * for the life of the process, so concurrent callers share it
+ * without locking. A build that throws leaves the image unbuilt for
+ * the next caller. @p kernel must be an entry of kernelRegistry();
+ * any other Kernel is a panic.
+ */
+const KernelImage &kernelImage(const Kernel &kernel,
+                               bool gpIsaBinary = false);
+
+/**
+ * Validate @p mem, the final memory image of a run of @p image's
+ * program, against the serial golden model: when @p kernel is
+ * deterministic, compare its output regions word for word with the
+ * golden words @p image holds, then apply its semantic check.
+ * @p image must be kernelImage(@p kernel, ...). Returns an empty
+ * string when @p mem validates, else the first mismatch.
+ */
+std::string checkAgainstGolden(const Kernel &kernel,
+                               const KernelImage &image, MainMemory &mem);
+
+/**
+ * Set up, run, and validate @p kernel on its image: each call builds
+ * its own system and input memory, runs it, and checks the result
+ * against the image's golden words. KernelRun::xlDynInsts is the
+ * image's golden count.
  *
  * @param useGpIsaBinary run the serialized GP-ISA binary instead
  *                       (mode must be Traditional)

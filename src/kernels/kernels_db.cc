@@ -94,28 +94,31 @@ bfs()
             for (unsigned d = 1; d < bfsDegree; d++)
                 adj[v].push_back(rng.nextBelow(bfsNodes));
         }
+        const Addr adjoff = prog.symbol("adjoff");
+        const Addr adjlist = prog.symbol("adjlist");
+        const Addr dist = prog.symbol("dist");
         u32 off = 0;
         for (unsigned v = 0; v < bfsNodes; v++) {
-            mem.writeWord(prog.symbol("adjoff") + 4 * v, off);
+            mem.writeWord(adjoff + 4 * v, off);
             for (const u32 w : adj[v])
-                mem.writeWord(prog.symbol("adjlist") + 4 * off++, w);
+                mem.writeWord(adjlist + 4 * off++, w);
         }
-        mem.writeWord(prog.symbol("adjoff") + 4 * bfsNodes, off);
+        mem.writeWord(adjoff + 4 * bfsNodes, off);
         for (unsigned v = 0; v < bfsNodes; v++)
-            mem.writeWord(prog.symbol("dist") + 4 * v,
-                          v == 0 ? 0 : 0x0fffffff);
+            mem.writeWord(dist + 4 * v, v == 0 ? 0 : 0x0fffffff);
         mem.writeWord(prog.symbol("wl"), 0);  // source node
     };
     k.check = [](MainMemory &mem, const Program &prog, std::string &why) {
         // Reference BFS distances.
+        const Addr adjoff = prog.symbol("adjoff");
+        const Addr adjlist = prog.symbol("adjlist");
+        const Addr dist = prog.symbol("dist");
         std::vector<std::vector<u32>> adj(bfsNodes);
         for (unsigned v = 0; v < bfsNodes; v++) {
-            const u32 off = mem.readWord(prog.symbol("adjoff") + 4 * v);
-            const u32 end =
-                mem.readWord(prog.symbol("adjoff") + 4 * (v + 1));
+            const u32 off = mem.readWord(adjoff + 4 * v);
+            const u32 end = mem.readWord(adjoff + 4 * (v + 1));
             for (u32 e = off; e < end; e++)
-                adj[v].push_back(
-                    mem.readWord(prog.symbol("adjlist") + 4 * e));
+                adj[v].push_back(mem.readWord(adjlist + 4 * e));
         }
         std::vector<i32> ref(bfsNodes, -1);
         std::queue<u32> q;
@@ -132,7 +135,7 @@ bfs()
             }
         }
         for (unsigned v = 0; v < bfsNodes; v++) {
-            const u32 d = mem.readWord(prog.symbol("dist") + 4 * v);
+            const u32 d = mem.readWord(dist + 4 * v);
             if (ref[v] >= 0 && d != static_cast<u32>(ref[v])) {
                 why = strf("dist[", v, "] = ", d, ", BFS says ", ref[v]);
                 return false;
@@ -233,16 +236,17 @@ qsort()
     k.outputs = {{"qdata", qsElems}};  // sorted array is unique
     k.setup = [](MainMemory &mem, const Program &prog) {
         Rng rng(0x4507a);
+        const Addr qdata = prog.symbol("qdata");
         for (unsigned i = 0; i < qsElems; i++)
-            mem.writeWord(prog.symbol("qdata") + 4 * i,
-                          rng.nextBelow(100000));
+            mem.writeWord(qdata + 4 * i, rng.nextBelow(100000));
         mem.writeWord(prog.symbol("wlo"), 0);
         mem.writeWord(prog.symbol("whi"), qsElems - 1);
     };
     k.check = [](MainMemory &mem, const Program &prog, std::string &why) {
+        const Addr qdata = prog.symbol("qdata");
         for (unsigned i = 1; i < qsElems; i++) {
-            if (mem.readWord(prog.symbol("qdata") + 4 * i) <
-                mem.readWord(prog.symbol("qdata") + 4 * (i - 1))) {
+            if (mem.readWord(qdata + 4 * i) <
+                mem.readWord(qdata + 4 * (i - 1))) {
                 why = strf("not sorted at ", i);
                 return false;
             }

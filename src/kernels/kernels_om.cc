@@ -61,11 +61,14 @@ dynprog()
     k.source = dynprogSrc;
     k.setup = [](MainMemory &mem, const Program &prog) {
         Rng rng(0xd9);
-        mem.writeWord(prog.symbol("dp"), 0);
-        mem.writeWord(prog.symbol("dp") + 4, 1);
+        const Addr dp = prog.symbol("dp");
+        const Addr ca = prog.symbol("ca");
+        const Addr cb = prog.symbol("cb");
+        mem.writeWord(dp, 0);
+        mem.writeWord(dp + 4, 1);
         for (unsigned i = 0; i < dynN; i++) {
-            mem.writeWord(prog.symbol("ca") + 4 * i, rng.nextBelow(50));
-            mem.writeWord(prog.symbol("cb") + 4 * i, rng.nextBelow(50));
+            mem.writeWord(ca + 4 * i, rng.nextBelow(50));
+            mem.writeWord(cb + 4 * i, rng.nextBelow(50));
         }
     };
     k.outputs = {{"dp", dynN}};
@@ -136,12 +139,15 @@ knn()
     k.source = knnSrc;
     k.setup = [](MainMemory &mem, const Program &prog) {
         Rng rng(0x42e21);
+        const Addr knx = prog.symbol("knx");
+        const Addr kny = prog.symbol("kny");
+        const Addr best = prog.symbol("best");
         for (unsigned i = 0; i < knnPoints; i++) {
-            mem.writeWord(prog.symbol("knx") + 4 * i, rng.nextBelow(256));
-            mem.writeWord(prog.symbol("kny") + 4 * i, rng.nextBelow(256));
+            mem.writeWord(knx + 4 * i, rng.nextBelow(256));
+            mem.writeWord(kny + 4 * i, rng.nextBelow(256));
         }
         for (unsigned j = 0; j < 4; j++)
-            mem.writeWord(prog.symbol("best") + 4 * j, 0x7fffffff);
+            mem.writeWord(best + 4 * j, 0x7fffffff);
     };
     k.outputs = {{"best", 4}};
     return k;
@@ -224,12 +230,12 @@ ksack(bool small_weights)
     k.source = ksackSrc;
     k.setup = [small_weights](MainMemory &mem, const Program &prog) {
         Rng rng(small_weights ? 0x515 : 0x1a6);
+        const Addr wv = prog.symbol("wv");
         for (unsigned j = 0; j < 4; j++) {
             const u32 w = small_weights ? 1 + rng.nextBelow(7)
                                         : 16 + rng.nextBelow(48);
-            mem.writeWord(prog.symbol("wv") + 4 * j, w);
-            mem.writeWord(prog.symbol("wv") + 16 + 4 * j,
-                          1 + rng.nextBelow(30));
+            mem.writeWord(wv + 4 * j, w);
+            mem.writeWord(wv + 16 + 4 * j, 1 + rng.nextBelow(30));
         }
     };
     k.outputs = {{"dp", ksackCap}};
@@ -290,9 +296,9 @@ stencil()
     k.source = stencilSrc;
     k.setup = [](MainMemory &mem, const Program &prog) {
         Rng rng(0x57e);
+        const Addr grid = prog.symbol("grid");
         for (unsigned i = 0; i < stRows * stCols; i++)
-            mem.writeWord(prog.symbol("grid") + 4 * i,
-                          rng.nextBelow(1000));
+            mem.writeWord(grid + 4 * i, rng.nextBelow(1000));
     };
     k.outputs = {{"grid", stRows * stCols}, {"stsum", 1}};
     return k;
@@ -354,26 +360,30 @@ mm()
     k.source = mmSrc;
     k.setup = [](MainMemory &mem, const Program &prog) {
         Rng rng(0x333e);
+        const Addr ev = prog.symbol("ev");
+        const Addr eu = prog.symbol("eu");
+        const Addr vert = prog.symbol("vert");
         for (unsigned e = 0; e < mmEdges; e++) {
             const u32 v = rng.nextBelow(mmVertices);
             u32 u = rng.nextBelow(mmVertices);
             if (u == v)
                 u = (u + 1) % mmVertices;
-            mem.writeWord(prog.symbol("ev") + 4 * e, v);
-            mem.writeWord(prog.symbol("eu") + 4 * e, u);
+            mem.writeWord(ev + 4 * e, v);
+            mem.writeWord(eu + 4 * e, u);
         }
         for (unsigned v = 0; v < mmVertices; v++)
-            mem.writeWord(prog.symbol("vert") + 4 * v,
-                          static_cast<u32>(-1));
+            mem.writeWord(vert + 4 * v, static_cast<u32>(-1));
     };
     k.outputs = {{"vert", mmVertices}, {"mout", mmEdges}, {"mk", 1}};
     // Semantic double-check: the matching must be valid and maximal.
     k.check = [](MainMemory &mem, const Program &prog,
                  std::string &why) {
+        const Addr ev = prog.symbol("ev");
+        const Addr eu = prog.symbol("eu");
+        const Addr vertAt = prog.symbol("vert");
         std::vector<i32> vert(mmVertices);
         for (unsigned v = 0; v < mmVertices; v++)
-            vert[v] = static_cast<i32>(
-                mem.readWord(prog.symbol("vert") + 4 * v));
+            vert[v] = static_cast<i32>(mem.readWord(vertAt + 4 * v));
         for (unsigned v = 0; v < mmVertices; v++) {
             if (vert[v] < 0)
                 continue;
@@ -384,8 +394,8 @@ mm()
             }
         }
         for (unsigned e = 0; e < mmEdges; e++) {
-            const u32 v = mem.readWord(prog.symbol("ev") + 4 * e);
-            const u32 u = mem.readWord(prog.symbol("eu") + 4 * e);
+            const u32 v = mem.readWord(ev + 4 * e);
+            const u32 u = mem.readWord(eu + 4 * e);
             if (vert[v] < 0 && vert[u] < 0) {
                 why = "matching is not maximal";
                 return false;

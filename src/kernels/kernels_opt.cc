@@ -579,27 +579,31 @@ void
 adpcmSetup(MainMemory &mem, const Program &prog)
 {
     Rng rng(0xadc);  // identical dataset to adpcm-or
+    const Addr deltas = prog.symbol("deltas");
+    const Addr steptab = prog.symbol("steptab");
+    const Addr idxtab = prog.symbol("idxtab");
     for (unsigned i = 0; i < 1024; i++)
-        mem.writeWord(prog.symbol("deltas") + 4 * i, rng.nextBelow(16));
+        mem.writeWord(deltas + 4 * i, rng.nextBelow(16));
     for (unsigned i = 0; i < 89; i++)
-        mem.writeWord(prog.symbol("steptab") + 4 * i, imaStep[i]);
+        mem.writeWord(steptab + 4 * i, imaStep[i]);
     for (unsigned i = 0; i < 16; i++)
-        mem.writeWord(prog.symbol("idxtab") + 4 * i,
-                      static_cast<u32>(imaIndex[i]));
+        mem.writeWord(idxtab + 4 * i, static_cast<u32>(imaIndex[i]));
 }
 
 void
 ditherSetup(MainMemory &mem, const Program &prog)
 {
     Rng rng(0xd1f);  // identical dataset to dither-or
+    const Addr gray = prog.symbol("gray");
     for (unsigned i = 0; i < 32 * 64; i++)
-        mem.writeWord(prog.symbol("gray") + 4 * i, rng.nextBelow(256));
+        mem.writeWord(gray + 4 * i, rng.nextBelow(256));
 }
 
 void
 shaSetup(MainMemory &mem, const Program &prog)
 {
     Rng rng(0x5a1);  // identical dataset to sha-or
+    const Addr wsched = prog.symbol("wsched");
     for (unsigned b = 0; b < 4; b++) {
         u32 w[80];
         for (unsigned t = 0; t < 16; t++)
@@ -609,7 +613,7 @@ shaSetup(MainMemory &mem, const Program &prog)
             w[t] = (x << 1) | (x >> 31);
         }
         for (unsigned t = 0; t < 80; t++)
-            mem.writeWord(prog.symbol("wsched") + 4 * (80 * b + t), w[t]);
+            mem.writeWord(wsched + 4 * (80 * b + t), w[t]);
     }
 }
 
@@ -655,17 +659,18 @@ makeOptKernels()
                     for (unsigned d = 1; d < 3; d++)
                         adj[vv].push_back(rng.nextBelow(64));
                 }
+                const Addr adjoff = prog.symbol("adjoff");
+                const Addr adjlist = prog.symbol("adjlist");
+                const Addr dist = prog.symbol("dist");
                 u32 off = 0;
                 for (unsigned vv = 0; vv < 64; vv++) {
-                    mem.writeWord(prog.symbol("adjoff") + 4 * vv, off);
+                    mem.writeWord(adjoff + 4 * vv, off);
                     for (const u32 w : adj[vv])
-                        mem.writeWord(prog.symbol("adjlist") + 4 * off++,
-                                      w);
+                        mem.writeWord(adjlist + 4 * off++, w);
                 }
-                mem.writeWord(prog.symbol("adjoff") + 4 * 64, off);
+                mem.writeWord(adjoff + 4 * 64, off);
                 for (unsigned vv = 0; vv < 64; vv++)
-                    mem.writeWord(prog.symbol("dist") + 4 * vv,
-                                  vv == 0 ? 0 : 0x0fffffff);
+                    mem.writeWord(dist + 4 * vv, vv == 0 ? 0 : 0x0fffffff);
                 mem.writeWord(prog.symbol("wla"), 0);
             },
             {{"dist", 64}});
@@ -679,15 +684,17 @@ makeOptKernels()
         "kmeans-uc", "uc", kmeansUcSrc,
         [](MainMemory &mem, const Program &prog) {
             Rng rng(0x3ea5);  // identical dataset to kmeans-or
+            const Addr ptx = prog.symbol("ptx");
+            const Addr pty = prog.symbol("pty");
+            const Addr cenx = prog.symbol("cenx");
+            const Addr ceny = prog.symbol("ceny");
             for (unsigned i = 0; i < 100; i++) {
-                mem.writeWord(prog.symbol("ptx") + 4 * i,
-                              rng.nextBelow(256));
-                mem.writeWord(prog.symbol("pty") + 4 * i,
-                              rng.nextBelow(256));
+                mem.writeWord(ptx + 4 * i, rng.nextBelow(256));
+                mem.writeWord(pty + 4 * i, rng.nextBelow(256));
             }
             for (unsigned c = 0; c < 4; c++) {
-                mem.writeWord(prog.symbol("cenx") + 4 * c, 32 + 64 * c);
-                mem.writeWord(prog.symbol("ceny") + 4 * c, 224 - 64 * c);
+                mem.writeWord(cenx + 4 * c, 32 + 64 * c);
+                mem.writeWord(ceny + 4 * c, 224 - 64 * c);
             }
         },
         {{"member", 100}, {"total", 1}}));
@@ -697,18 +704,19 @@ makeOptKernels()
             "qsort-uc", "uc", qsortUcSrc,
             [](MainMemory &mem, const Program &prog) {
                 Rng rng(0x4507a);  // identical dataset to qsort-uc-db
+                const Addr qdata = prog.symbol("qdata");
                 for (unsigned i = 0; i < 256; i++)
-                    mem.writeWord(prog.symbol("qdata") + 4 * i,
-                                  rng.nextBelow(100000));
+                    mem.writeWord(qdata + 4 * i, rng.nextBelow(100000));
                 mem.writeWord(prog.symbol("wloa"), 0);
                 mem.writeWord(prog.symbol("whia"), 255);
             },
             {{"qdata", 256}});
         k.check = [](MainMemory &mem, const Program &prog,
                      std::string &why) {
+            const Addr qdata = prog.symbol("qdata");
             for (unsigned i = 1; i < 256; i++) {
-                if (mem.readWord(prog.symbol("qdata") + 4 * i) <
-                    mem.readWord(prog.symbol("qdata") + 4 * (i - 1))) {
+                if (mem.readWord(qdata + 4 * i) <
+                    mem.readWord(qdata + 4 * (i - 1))) {
                     why = strf("not sorted at ", i);
                     return false;
                 }
@@ -722,9 +730,9 @@ makeOptKernels()
         "rsort-uc", "uc", rsortUcSrc,
         [](MainMemory &mem, const Program &prog) {
             Rng rng(0x4504);  // identical dataset to rsort-ua
+            const Addr rin = prog.symbol("rin");
             for (unsigned i = 0; i < 512; i++)
-                mem.writeWord(prog.symbol("rin") + 4 * i,
-                              rng.nextBelow(1 << 16));
+                mem.writeWord(rin + 4 * i, rng.nextBelow(1 << 16));
         },
         {{"rout", 512}}));
 

@@ -108,14 +108,15 @@ adpcm()
     k.source = adpcmSrc;
     k.setup = [](MainMemory &mem, const Program &prog) {
         Rng rng(0xadc);
+        const Addr deltas = prog.symbol("deltas");
+        const Addr steptab = prog.symbol("steptab");
+        const Addr idxtab = prog.symbol("idxtab");
         for (unsigned i = 0; i < adpcmSamples; i++)
-            mem.writeWord(prog.symbol("deltas") + 4 * i,
-                          rng.nextBelow(16));
+            mem.writeWord(deltas + 4 * i, rng.nextBelow(16));
         for (unsigned i = 0; i < 89; i++)
-            mem.writeWord(prog.symbol("steptab") + 4 * i,
-                          imaStepTable[i]);
+            mem.writeWord(steptab + 4 * i, imaStepTable[i]);
         for (unsigned i = 0; i < 16; i++)
-            mem.writeWord(prog.symbol("idxtab") + 4 * i,
+            mem.writeWord(idxtab + 4 * i,
                           static_cast<u32>(imaIndexTable[i]));
     };
     k.outputs = {{"pcm", adpcmSamples}};
@@ -204,9 +205,9 @@ covar()
     k.source = covarSrc;
     k.setup = [](MainMemory &mem, const Program &prog) {
         Rng rng(0xc0a);
+        const Addr data = prog.symbol("data");
         for (unsigned i = 0; i < covRows * covCols; i++)
-            mem.writeWord(prog.symbol("data") + 4 * i,
-                          rng.nextBelow(200));
+            mem.writeWord(data + 4 * i, rng.nextBelow(200));
     };
     k.outputs = {{"meanv", covCols}, {"cov", covCols * covCols}};
     return k;
@@ -257,9 +258,9 @@ dither()
     k.source = ditherSrc;
     k.setup = [](MainMemory &mem, const Program &prog) {
         Rng rng(0xd1f);
+        const Addr gray = prog.symbol("gray");
         for (unsigned i = 0; i < ditherRows * ditherCols; i++)
-            mem.writeWord(prog.symbol("gray") + 4 * i,
-                          rng.nextBelow(256));
+            mem.writeWord(gray + 4 * i, rng.nextBelow(256));
     };
     k.outputs = {{"bw", ditherRows * ditherCols}};
     return k;
@@ -332,13 +333,17 @@ kmeans()
     k.source = kmeansSrc;
     k.setup = [](MainMemory &mem, const Program &prog) {
         Rng rng(0x3ea5);
+        const Addr ptx = prog.symbol("ptx");
+        const Addr pty = prog.symbol("pty");
+        const Addr cenx = prog.symbol("cenx");
+        const Addr ceny = prog.symbol("ceny");
         for (unsigned i = 0; i < kmObjects; i++) {
-            mem.writeWord(prog.symbol("ptx") + 4 * i, rng.nextBelow(256));
-            mem.writeWord(prog.symbol("pty") + 4 * i, rng.nextBelow(256));
+            mem.writeWord(ptx + 4 * i, rng.nextBelow(256));
+            mem.writeWord(pty + 4 * i, rng.nextBelow(256));
         }
         for (unsigned c = 0; c < kmClusters; c++) {
-            mem.writeWord(prog.symbol("cenx") + 4 * c, 32 + 64 * c);
-            mem.writeWord(prog.symbol("ceny") + 4 * c, 224 - 64 * c);
+            mem.writeWord(cenx + 4 * c, 32 + 64 * c);
+            mem.writeWord(ceny + 4 * c, 224 - 64 * c);
         }
     };
     k.outputs = {{"member", kmObjects}, {"total", 1}};
@@ -445,6 +450,7 @@ sha()
     k.source = shaSrc;
     k.setup = [](MainMemory &mem, const Program &prog) {
         Rng rng(0x5a1);
+        const Addr wsched = prog.symbol("wsched");
         // Per block: 16 random message words expanded to 80.
         for (unsigned b = 0; b < shaBlocks; b++) {
             u32 w[80];
@@ -455,8 +461,7 @@ sha()
                 w[t] = (x << 1) | (x >> 31);
             }
             for (unsigned t = 0; t < 80; t++)
-                mem.writeWord(prog.symbol("wsched") + 4 * (80 * b + t),
-                              w[t]);
+                mem.writeWord(wsched + 4 * (80 * b + t), w[t]);
         }
     };
     k.outputs = {{"digest", 5}};
@@ -516,15 +521,16 @@ symmOr()
     k.setup = [](MainMemory &mem, const Program &prog) {
         Rng rng(0x5e33);  // same dataset as symm-uc
         constexpr unsigned n = 12;
+        const Addr syma = prog.symbol("syma");
+        const Addr symb = prog.symbol("symb");
         for (unsigned i = 0; i < n; i++) {
             for (unsigned j = 0; j <= i; j++) {
                 const u32 v = rng.nextBelow(100);
-                mem.writeWord(prog.symbol("syma") + 4 * (i * n + j), v);
-                mem.writeWord(prog.symbol("syma") + 4 * (j * n + i), v);
+                mem.writeWord(syma + 4 * (i * n + j), v);
+                mem.writeWord(syma + 4 * (j * n + i), v);
             }
             for (unsigned j = 0; j < n; j++)
-                mem.writeWord(prog.symbol("symb") + 4 * (i * n + j),
-                              rng.nextBelow(100));
+                mem.writeWord(symb + 4 * (i * n + j), rng.nextBelow(100));
         }
     };
     k.outputs = {{"symc", 144}};

@@ -67,11 +67,11 @@ btree()
     k.source = btreeSrc;
     k.setup = [](MainMemory &mem, const Program &prog) {
         Rng rng(0xb7e);
+        const Addr nodes = prog.symbol("nodes");
         for (unsigned i = 0; i < btKeys; i++) {
-            mem.writeWord(prog.symbol("nodes") + 16 * i,
-                          rng.nextBelow(100000));
-            mem.writeWord(prog.symbol("nodes") + 16 * i + 4, 0);
-            mem.writeWord(prog.symbol("nodes") + 16 * i + 8, 0);
+            mem.writeWord(nodes + 16 * i, rng.nextBelow(100000));
+            mem.writeWord(nodes + 16 * i + 4, 0);
+            mem.writeWord(nodes + 16 * i + 8, 0);
         }
     };
     k.outputs = {{"nodes", 4 * btKeys}};
@@ -159,9 +159,9 @@ hsort()
     k.source = hsortSrc;
     k.setup = [](MainMemory &mem, const Program &prog) {
         Rng rng(0x4507);
+        const Addr hin = prog.symbol("hin");
         for (unsigned i = 0; i < hsElems; i++)
-            mem.writeWord(prog.symbol("hin") + 4 * i,
-                          rng.nextBelow(100000));
+            mem.writeWord(hin + 4 * i, rng.nextBelow(100000));
     };
     k.outputs = {{"heap", hsElems}, {"hn", 1}};
     k.check = [](MainMemory &mem, const Program &prog, std::string &why) {
@@ -222,18 +222,20 @@ huffman()
     k.source = huffmanSrc;
     k.setup = [](MainMemory &mem, const Program &prog) {
         Rng rng(0x8f);
+        const Addr syms = prog.symbol("syms");
         for (unsigned i = 0; i < hfSymbols; i++) {
             // Skewed distribution (entropy-coding flavour).
             const u32 r = rng.nextBelow(256);
             const u32 sym = r < 128 ? r % 16 : r;
-            mem.writeWord(prog.symbol("syms") + 4 * i, sym);
+            mem.writeWord(syms + 4 * i, sym);
         }
     };
     k.outputs = {{"hist", 256}, {"histhi", 16}};
     k.check = [](MainMemory &mem, const Program &prog, std::string &why) {
+        const Addr hist = prog.symbol("hist");
         u64 total = 0;
         for (unsigned i = 0; i < 256; i++)
-            total += mem.readWord(prog.symbol("hist") + 4 * i);
+            total += mem.readWord(hist + 4 * i);
         if (total != hfSymbols) {
             why = strf("histogram total ", total);
             return false;
@@ -312,16 +314,17 @@ rsort()
     k.source = rsortSrc;
     k.setup = [](MainMemory &mem, const Program &prog) {
         Rng rng(0x4504);
+        const Addr rin = prog.symbol("rin");
         for (unsigned i = 0; i < rsElems; i++)
-            mem.writeWord(prog.symbol("rin") + 4 * i,
-                          rng.nextBelow(1 << 16));
+            mem.writeWord(rin + 4 * i, rng.nextBelow(1 << 16));
     };
     k.outputs = {{"rout", rsElems}, {"rhist", rsBuckets}};
     k.check = [](MainMemory &mem, const Program &prog, std::string &why) {
         // Output must be a permutation ordered by the 6-bit digit.
+        const Addr rout = prog.symbol("rout");
         u32 prevDigit = 0;
         for (unsigned i = 0; i < rsElems; i++) {
-            const u32 d = mem.readWord(prog.symbol("rout") + 4 * i) & 63;
+            const u32 d = mem.readWord(rout + 4 * i) & 63;
             if (d < prevDigit) {
                 why = strf("digit order violated at ", i);
                 return false;

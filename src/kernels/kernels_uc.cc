@@ -77,10 +77,13 @@ rgb2cmyk()
     k.source = rgb2cmykSrc;
     k.setup = [](MainMemory &mem, const Program &prog) {
         Rng rng(0xc0102);
+        const Addr rsrc = prog.symbol("rsrc");
+        const Addr gsrc = prog.symbol("gsrc");
+        const Addr bsrc = prog.symbol("bsrc");
         for (unsigned i = 0; i < rgbPixels; i++) {
-            mem.writeWord(prog.symbol("rsrc") + 4 * i, rng.nextBelow(256));
-            mem.writeWord(prog.symbol("gsrc") + 4 * i, rng.nextBelow(256));
-            mem.writeWord(prog.symbol("bsrc") + 4 * i, rng.nextBelow(256));
+            mem.writeWord(rsrc + 4 * i, rng.nextBelow(256));
+            mem.writeWord(gsrc + 4 * i, rng.nextBelow(256));
+            mem.writeWord(bsrc + 4 * i, rng.nextBelow(256));
         }
     };
     k.outputs = {{"cdst", rgbPixels}, {"mdst", rgbPixels},
@@ -141,11 +144,11 @@ sgemm()
     k.source = sgemmSrc;
     k.setup = [](MainMemory &mem, const Program &prog) {
         Rng rng(0x59e88);
+        const Addr mata = prog.symbol("mata");
+        const Addr matb = prog.symbol("matb");
         for (unsigned i = 0; i < gemmN * gemmN; i++) {
-            mem.writeFloat(prog.symbol("mata") + 4 * i,
-                           rng.nextFloat() * 4.0f - 2.0f);
-            mem.writeFloat(prog.symbol("matb") + 4 * i,
-                           rng.nextFloat() * 4.0f - 2.0f);
+            mem.writeFloat(mata + 4 * i, rng.nextFloat() * 4.0f - 2.0f);
+            mem.writeFloat(matb + 4 * i, rng.nextFloat() * 4.0f - 2.0f);
         }
     };
     k.outputs = {{"matc", gemmN * gemmN}};
@@ -237,8 +240,9 @@ ssearch()
                 kk++;
             fail[q] = kk;
         }
+        const Addr failTab = prog.symbol("fail");
         for (unsigned i = 0; i < fail.size(); i++)
-            mem.writeWord(prog.symbol("fail") + 4 * i, fail[i]);
+            mem.writeWord(failTab + 4 * i, fail[i]);
     };
     k.outputs = {{"matches", searchStreams}};
     return k;
@@ -294,16 +298,17 @@ void
 symmSetup(MainMemory &mem, const Program &prog)
 {
     Rng rng(0x5e33);
+    const Addr syma = prog.symbol("syma");
+    const Addr symb = prog.symbol("symb");
     // A symmetric, B general (Polybench symm flavour).
     for (unsigned i = 0; i < symmN; i++) {
         for (unsigned j = 0; j <= i; j++) {
             const u32 v = rng.nextBelow(100);
-            mem.writeWord(prog.symbol("syma") + 4 * (i * symmN + j), v);
-            mem.writeWord(prog.symbol("syma") + 4 * (j * symmN + i), v);
+            mem.writeWord(syma + 4 * (i * symmN + j), v);
+            mem.writeWord(syma + 4 * (j * symmN + i), v);
         }
         for (unsigned j = 0; j < symmN; j++)
-            mem.writeWord(prog.symbol("symb") + 4 * (i * symmN + j),
-                          rng.nextBelow(100));
+            mem.writeWord(symb + 4 * (i * symmN + j), rng.nextBelow(100));
     }
 }
 
@@ -420,8 +425,9 @@ viterbi()
     k.source = viterbiSrc;
     k.setup = [](MainMemory &mem, const Program &prog) {
         Rng rng(0x71728b1);
+        const Addr obs = prog.symbol("obs");
         for (unsigned i = 0; i < vitFrames * vitSteps; i++)
-            mem.writeWord(prog.symbol("obs") + 4 * i, rng.nextBelow(16));
+            mem.writeWord(obs + 4 * i, rng.nextBelow(16));
     };
     k.outputs = {{"metric", vitFrames}};
     return k;
@@ -480,9 +486,10 @@ void
 warSetup(MainMemory &mem, const Program &prog)
 {
     Rng rng(0x3a12);
+    const Addr path = prog.symbol("path");
     for (unsigned i = 0; i < warN; i++)
         for (unsigned j = 0; j < warN; j++)
-            mem.writeWord(prog.symbol("path") + 4 * (i * warN + j),
+            mem.writeWord(path + 4 * (i * warN + j),
                           i == j ? 0 : 1 + rng.nextBelow(64));
 }
 

@@ -263,6 +263,43 @@ TEST(AssemblerErrors, ImmediateOutOfRangeNamesTheLine)
     EXPECT_EQ(instAt(prog, 3).imm, -8192);
 }
 
+TEST(AssemblerErrors, DataSegmentPastAddressSpaceNamesTheLine)
+{
+    // Checked in 64 bits before any byte is allocated: a huge .space
+    // is not a std::bad_alloc, and a huge .align is not a silent
+    // no-op (it pads to an address multiple, past the top).
+    for (const char *bad :
+         {"x: .space 1099511627775", "x: .space 4293918721",
+          "x: .align 1099511627776"}) {
+        try {
+            assemble(std::string("  halt\n  .data\n") + bad + "\n");
+            ADD_FAILURE() << "accepted: " << bad;
+        } catch (const FatalError &error) {
+            EXPECT_NE(std::string(error.what())
+                          .find("asm line 3: ."),
+                      std::string::npos)
+                << error.what();
+            EXPECT_NE(std::string(error.what()).find("past 0xffffffff"),
+                      std::string::npos)
+                << error.what();
+        }
+    }
+    // The boundary, on a data segment 16 bytes below the top: 16
+    // bytes fit, a 17th does not, whatever directive adds it.
+    const Addr top16 = 0xfffffff0;
+    EXPECT_NO_THROW(assemble("  halt\n  .data\n  .space 12\n  .word 1\n",
+                             textBaseDefault, top16));
+    EXPECT_NO_THROW(assemble("  halt\n  .data\n  .word 1\n  .align 16\n",
+                             textBaseDefault, top16));
+    for (const char *bad : {"  .space 17\n", "  .space 12\n  .word 1, 2\n",
+                            "  .space 16\n  .byte 0\n",
+                            "  .word 1\n  .align 8589934592\n"})
+        EXPECT_THROW(assemble(std::string("  halt\n  .data\n") + bad,
+                              textBaseDefault, top16),
+                     FatalError)
+            << bad;
+}
+
 TEST(AssemblerErrors, MessageIncludesLineNumber)
 {
     try {

@@ -20,7 +20,8 @@
 namespace xloops {
 namespace {
 
-/** Assemble + load a kernel into @p sys exactly as runKernel does. */
+/** Load a kernel's binary and inputs into @p sys as runKernel does
+ *  (a fresh assembly equals its kernel image; see test_kernels). */
 Program
 prepare(XloopsSystem &sys, const std::string &kernelName)
 {

@@ -156,6 +156,35 @@ TEST(Parser, RejectsBadInput)
                  FrontendError);
 }
 
+TEST(Parser, ArraysMustEndInsideTheAddressSpace)
+{
+    // Sizes are summed in 64 bits: a 2^30-word array used to become
+    // ".space 0" and alias the array after it.
+    try {
+        parseModule("array A[1073741824];\narray B[4];\n");
+        ADD_FAILURE() << "accepted a 2^30-word array";
+    } catch (const FrontendError &error) {
+        EXPECT_EQ(error.line(), 1u);
+        EXPECT_EQ(error.col(), 1u);
+        EXPECT_NE(std::string(error.what()).find("past 0xffffffff"),
+                  std::string::npos)
+            << error.what();
+    }
+    // The arrays together, too: (2^32 - dataBaseDefault) / 4 words in
+    // all fit, one more does not, and the array that overflows is the
+    // one named. Parsing allocates nothing.
+    EXPECT_NO_THROW(parseModule("array A[4];\narray B[1073479676];\n"));
+    try {
+        parseModule("array A[4];\narray B[1073479677];\n");
+        ADD_FAILURE() << "accepted arrays past the top";
+    } catch (const FrontendError &error) {
+        EXPECT_EQ(error.line(), 2u);
+        EXPECT_NE(std::string(error.what()).find("array 'B'"),
+                  std::string::npos)
+            << error.what();
+    }
+}
+
 TEST(Parser, ScalarReadsMustNameAssignedScalars)
 {
     auto errorAt = [](const std::string &src) -> std::string {

@@ -16,6 +16,7 @@
 #include "cpu/functional.h"
 #include "cpu/threaded.h"
 #include "kernels/kernel.h"
+#include "system/capsule.h"
 
 namespace xloops {
 namespace {
@@ -143,6 +144,98 @@ TEST(GpIsaTransform, DynInstRatioNearOne)
         EXPECT_GT(ratio, 0.70) << name;
         EXPECT_LT(ratio, 1.10) << name;
     }
+}
+
+// --------------------------------------------------------------------
+// Kernel images: one immutable image per (registry kernel, binary)
+// --------------------------------------------------------------------
+
+TEST(KernelImages, EqualAFreshAssemblyAndGoldenRun)
+{
+    for (const Kernel &k : kernelRegistry()) {
+        for (const bool gp : {false, true}) {
+            SCOPED_TRACE(k.name + (gp ? " (GP-ISA)" : ""));
+            const KernelImage &image = kernelImage(k, gp);
+            const Program fresh =
+                assemble(gp ? serializeToGpIsa(k.source) : k.source);
+            EXPECT_EQ(image.program.text, fresh.text);
+            EXPECT_EQ(image.program.symbols, fresh.symbols);
+            ASSERT_EQ(image.program.data.size(), fresh.data.size());
+            for (size_t c = 0; c < fresh.data.size(); c++) {
+                EXPECT_EQ(image.program.data[c].base, fresh.data[c].base);
+                EXPECT_EQ(image.program.data[c].bytes,
+                          fresh.data[c].bytes);
+            }
+
+            MainMemory golden;
+            fresh.loadInto(golden);
+            if (k.setup)
+                k.setup(golden, fresh);
+            EXPECT_EQ(image.goldenInsts,
+                      ThreadedExecutor(golden).run(fresh).dynInsts);
+            ASSERT_EQ(image.goldenOutputs.size(), k.outputs.size());
+            for (size_t r = 0; r < k.outputs.size(); r++) {
+                const auto &[symbol, words] = k.outputs[r];
+                const Addr base = fresh.symbol(symbol);
+                std::vector<u32> want(words);
+                for (unsigned i = 0; i < words; i++)
+                    want[i] = golden.readWord(base + 4 * i);
+                EXPECT_EQ(image.goldenOutputs[r], want) << symbol;
+            }
+        }
+    }
+}
+
+TEST(KernelImages, RunsOfOneBinaryShareOneProgram)
+{
+    // A capsule context keeps a copy of the program a run ran, and
+    // copies share the predecoded image: equal serials mean both runs
+    // ran the one Program of the image.
+    const Kernel &k = kernelByName("war-uc");
+    std::vector<u64> serials;
+    for (const ExecMode mode :
+         {ExecMode::Traditional, ExecMode::Specialized}) {
+        CapsuleContext ctx;
+        RunOptions ropts;
+        ropts.capsule = &ctx;
+        RunHooks hooks;
+        hooks.runOptions = &ropts;
+        const KernelRun run = runKernel(k, configs::ioX(), mode, false,
+                                        hooks);
+        ASSERT_TRUE(run.passed) << run.error;
+        ASSERT_TRUE(ctx.valid);
+        serials.push_back(ctx.program.decoded().serial());
+    }
+    EXPECT_EQ(serials[0], serials[1]);
+    EXPECT_EQ(serials[0], kernelImage(k).program.decoded().serial());
+    // The GP-ISA twin is an image of its own.
+    EXPECT_NE(serials[0], kernelImage(k, true).program.decoded().serial());
+}
+
+TEST(KernelImages, FlippedOutputWordNamesTheMismatch)
+{
+    const Kernel &k = kernelByName("rgb2cmyk-uc");
+    const KernelImage &image = kernelImage(k);
+    XloopsSystem sys(configs::io());
+    sys.loadProgram(image.program);
+    k.setup(sys.memory(), image.program);
+    sys.run(image.program, ExecMode::Traditional);
+    ASSERT_EQ(checkAgainstGolden(k, image, sys.memory()), "");
+
+    const Addr at = image.program.symbol("mdst") + 4 * 5;
+    const u32 want = sys.memory().readWord(at);
+    sys.memory().writeWord(at, want ^ 1);
+    EXPECT_EQ(checkAgainstGolden(k, image, sys.memory()),
+              strf("rgb2cmyk-uc: mdst[5] = ", want ^ 1,
+                   ", serial = ", want));
+}
+
+TEST(KernelImages, KernelOutsideTheRegistryPanics)
+{
+    const Kernel copy = kernelByName("war-uc");
+    EXPECT_THROW(kernelImage(copy), PanicError);
+    EXPECT_THROW(runKernel(copy, configs::io(), ExecMode::Traditional),
+                 PanicError);
 }
 
 // --------------------------------------------------------------------

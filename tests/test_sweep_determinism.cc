@@ -4,11 +4,15 @@
 // cell's embedded stats must match what a serial single-System run
 // of the same cell produces. This is the contract that lets every
 // evaluation harness parallelize without changing a single reported
-// number.
+// number. Cells share each binary's kernel image, so the first use of
+// one from many threads at once is tested here too (CI runs this
+// binary under TSan).
 
 #include <gtest/gtest.h>
 
+#include <latch>
 #include <sstream>
+#include <thread>
 
 #include "common/fault.h"
 #include "common/json.h"
@@ -135,6 +139,39 @@ TEST(SweepDeterminism, FailedCellsAreResultsNotAborts)
     EXPECT_GT(failed, 0u);  // the tiny valve must have tripped
     EXPECT_EQ(sweepJsonText(cells, serial, opts),
               sweepJsonText(cells, parallel, opts));
+}
+
+TEST(SweepDeterminism, ConcurrentFirstUseOfAKernelImage)
+{
+    // No other test in this binary runs symm-or, so the eight threads,
+    // released together, race on the first build of its image: one
+    // builds it, the others wait for it, and all run on it.
+    const Kernel &k = kernelByName("symm-or");
+    constexpr unsigned threads = 8;
+    std::latch start(threads);
+    std::vector<KernelRun> runs(threads);
+    std::vector<std::thread> pool;
+    for (unsigned t = 0; t < threads; t++) {
+        pool.emplace_back([&, t] {
+            start.arrive_and_wait();
+            try {
+                runs[t] =
+                    runKernel(k, configs::ioX(), ExecMode::Specialized);
+            } catch (const std::exception &error) {
+                runs[t].error = error.what();
+            }
+        });
+    }
+    for (std::thread &th : pool)
+        th.join();
+    for (unsigned t = 0; t < threads; t++) {
+        SCOPED_TRACE(t);
+        EXPECT_TRUE(runs[t].passed) << runs[t].error;
+        EXPECT_EQ(runs[t].result.cycles, runs[0].result.cycles);
+        EXPECT_EQ(runs[t].result.laneInsts, runs[0].result.laneInsts);
+        EXPECT_EQ(runs[t].xlDynInsts, runs[0].xlDynInsts);
+    }
+    EXPECT_EQ(runs[0].xlDynInsts, kernelImage(k).goldenInsts);
 }
 
 TEST(SweepDeterminism, CrossProductSkipsLpsulessSpecializedCells)

@@ -221,8 +221,11 @@ main(int argc, char **argv)
                 spec.kernel.empty() ? nullptr : &kernelByName(spec.kernel);
             if (kernel == nullptr && path.empty())
                 cli::usageError(cmd, "no program given");
-            const Program prog =
-                assemble(kernel ? kernel->source : readFile(path));
+            const KernelImage *image =
+                kernel ? &kernelImage(*kernel) : nullptr;
+            const Program fileProg =
+                image ? Program{} : assemble(readFile(path));
+            const Program &prog = image ? image->program : fileProg;
 
             SampledSimulation samp(sampleCfg, sopts);
             samp.loadProgram(prog);
@@ -235,9 +238,8 @@ main(int argc, char **argv)
             if (kernel) {
                 // Validate against the serial golden model exactly as
                 // a full run would.
-                u64 goldenInsts = 0;
-                const std::string why = checkAgainstGolden(
-                    *kernel, prog, samp.memory(), goldenInsts);
+                const std::string why =
+                    checkAgainstGolden(*kernel, *image, samp.memory());
                 std::printf("sampled kernel %s on %s mode T: %s\n",
                             spec.kernel.c_str(), sampleCfg.name.c_str(),
                             why.empty() ? "VALIDATED" : why.c_str());
