@@ -5,7 +5,9 @@
 
 #include "asm/assembler.h"
 #include "common/log.h"
+#include "inputs.h"
 #include "isa/disasm.h"
+#include "kernels/kernel.h"
 #include "mem/memory.h"
 
 namespace xloops {
@@ -309,6 +311,180 @@ TEST(AssemblerErrors, MessageIncludesLineNumber)
         EXPECT_NE(std::string(error.what()).find("line 3"),
                   std::string::npos)
             << error.what();
+    }
+}
+
+/** The full message @p source fails with, or "" when it assembles. */
+std::string
+diagnostic(const std::string &source, Addr dataBase = dataBaseDefault)
+{
+    try {
+        assemble(source, textBaseDefault, dataBase);
+    } catch (const FatalError &error) {
+        return error.what();
+    }
+    return "";
+}
+
+TEST(AssemblerErrors, EveryDiagnosticNamesItsLine)
+{
+    // One case (or more) per diagnostic site, each with its exact text.
+    const std::pair<const char *, const char *> cases[] = {
+        // operands
+        {"  nop\n  add r1, r32, r2\n",
+         "asm line 2: register r32 out of range"},
+        {"  nop\n  addi r1, r0, 99999999999999999999\n",
+         "asm line 2: number 99999999999999999999 out of range"},
+        {"  amoadd r1, r2, (x)\n",
+         "asm line 1: bad amo address operand (x)"},
+        {"  lw r1, 4(x)\n", "asm line 1: bad base register in 4(x)"},
+        // pseudo-ops: every operand form, then each literal check
+        {"  li r1\n", "asm line 1: li needs rd, imm"},
+        {"  la r1\n", "asm line 1: la needs rd, symbol"},
+        {"  mov r12,\n", "asm line 1: mov needs rd, rs"},
+        {"  j\n", "asm line 1: j needs label"},
+        {"  beqz r1\n", "asm line 1: beqz needs rs, label"},
+        {"  bnez\n", "asm line 1: bnez needs rs, label"},
+        {"  bgt r1, r2\n", "asm line 1: bgt needs rs, rt, label"},
+        {"  ble r1\n", "asm line 1: ble needs rs, rt, label"},
+        {"  not r1\n", "asm line 1: not needs rd, rs"},
+        {"  neg r1, r2, r3\n", "asm line 1: neg needs rd, rs"},
+        {"  li r1, foo\n", "asm line 1: li needs rd, literal"},
+        {"  nop\n  li r1, 4294967296\n",
+         "asm line 2: li operand 4294967296 does not fit in 32 bits"},
+        {"  la r1, 5\n", "asm line 1: la needs rd, symbol"},
+        // bgt and ble read their second operand first
+        {"  bgt r40, r41, x\n", "asm line 1: register r41 out of range"},
+        // mnemonics and sections
+        {"  frobnicate r1\n", "asm line 1: unknown mnemonic 'frobnicate'"},
+        {"  .data\n  add r1, r2, r3\n",
+         "asm line 2: instruction outside .text"},
+        {"  .data\n  li r1, 1\n", "asm line 2: instruction outside .text"},
+        {"  nop\n  .word 1\n", "asm line 2: data directive inside .text"},
+        // directives
+        {"  halt\n  .data\nx: .space 1099511627775\n",
+         "asm line 3: .space of 1099511627775 bytes ends the data segment "
+         "past 0xffffffff"},
+        {"  halt\n  .data\nx: .align 1099511627776\n",
+         "asm line 3: .align of 1099510579200 bytes ends the data segment "
+         "past 0xffffffff"},
+        {"  .data\n  .float abc\n", "asm line 2: bad float literal abc"},
+        {"  .data\n  .float 1e99\n", "asm line 2: bad float literal 1e99"},
+        {"  .data\n  .half 1, x\n", "asm line 2: bad .half literal x"},
+        {"  .data\n  .byte 0x\n", "asm line 2: bad .byte literal 0x"},
+        {"  .data\n  .space -1\n", "asm line 2: bad .space size"},
+        {"  .data\n  .space 8 \n", "asm line 2: bad .space size"},
+        {"  .data\n  .align 3\n", "asm line 2: bad .align"},
+        {"  .frob\n", "asm line 1: unknown directive '.frob'"},
+        {".L1: nop\n", "asm line 1: unknown directive '.L1:'"},
+        // labels and symbols
+        {"a:\n  nop\na: halt\n", "asm line 3: duplicate label 'a'"},
+        {"  nop\n  j nowhere\n  halt\n",
+         "asm line 2: undefined symbol 'nowhere'"},
+        {"  halt\n  .data\n  .word 1, nowhere\n",
+         "asm line 3: undefined symbol 'nowhere'"},
+        {"  la r1, %hi:x\n", "asm line 1: undefined symbol '%hi:x'"},
+        {"  lw r1, %lo:y(r2)\n", "asm line 1: undefined symbol 'y'"},
+        // encoding
+        {"  addi r1, r2, r3\n",
+         "asm line 1: expected immediate or symbol operand"},
+        {"  add r1, r2, 5\n", "asm line 1: expected register operand in add"},
+        {"  beq r1, r2, 6\n", "asm line 1: misaligned branch target"},
+        {"  nop\n  addi r1, r0, 8192\n",
+         "asm line 2: addi operand 8192 out of range [-8192, 8191]"},
+        {"  lui r1, -1\n",
+         "asm line 1: lui operand -1 out of range [0, 524287]"},
+        {"  add r1, r2\n", "asm line 1: add expects 3 operands, got 2"},
+        {"  add r1, r2, r3, r4\n",
+         "asm line 1: add expects 3 operands, got 4"},
+        {"  amoadd r1, r2, r3\n",
+         "asm line 1: amo needs (rN) address operand"},
+        {"  lw r1, r2\n", "asm line 1: load needs offset(base) operand"},
+        {"  sw r1, r2\n", "asm line 1: store needs offset(base) operand"},
+        {"  xloop.uc r1, r2, later\nlater:\n  halt\n",
+         "asm line 1: xloop body label must precede the xloop instruction"},
+        // the first error in source order wins, and every pass-1
+        // error precedes every encoding error
+        {"  add r1, r2\n  frob\n", "asm line 2: unknown mnemonic 'frob'"},
+        {"  j nowhere\n  .data\n  .word also_nowhere\n",
+         "asm line 1: undefined symbol 'nowhere'"},
+    };
+    for (const auto &[source, message] : cases)
+        EXPECT_EQ(diagnostic(source), std::string("fatal: ") + message)
+            << source;
+
+    // A data segment 16 bytes below the top: each data directive names
+    // itself and its size when it would end past 0xffffffff.
+    const Addr top16 = 0xfffffff0;
+    const std::pair<const char *, const char *> top[] = {
+        {"  .space 17\n", "asm line 3: .space of 17 bytes"},
+        {"  .space 12\n  .word 1, 2\n", "asm line 4: .word of 4 bytes"},
+        {"  .space 16\n  .byte 0\n", "asm line 4: .byte of 1 bytes"},
+        {"  .space 15\n  .half 0\n", "asm line 4: .half of 2 bytes"},
+        {"  .word 1\n  .align 8589934592\n",
+         "asm line 4: .align of 4294967308 bytes"},
+    };
+    for (const auto &[body, prefix] : top)
+        EXPECT_EQ(diagnostic(std::string("  halt\n  .data\n") + body, top16),
+                  std::string("fatal: ") + prefix +
+                      " ends the data segment past 0xffffffff")
+            << body;
+    // A .float's range error is reported as a bad literal: the check
+    // runs inside the std::stof handler, which catches FatalError too.
+    EXPECT_EQ(diagnostic("  halt\n  .data\n  .space 14\n  .float 0.5\n",
+                         top16),
+              "fatal: asm line 4: bad float literal 0.5");
+}
+
+TEST(Assembler, SyntaxSamplerAssembles)
+{
+    const Program prog = assemble(test::asmSampler);
+    EXPECT_EQ(prog.symbol("_start"), textBaseDefault);
+    EXPECT_EQ(prog.symbol("entry.0"), textBaseDefault);
+    EXPECT_EQ(prog.symbol("start_2"), textBaseDefault);
+    // whitespace inside an operand is dropped: 0 ( r7 ) is 0(r7)
+    const Program spaced = assemble("  lw r16, 0 ( r7 )\n");
+    const Program packed = assemble("  lw r16,0(r7)\n");
+    EXPECT_EQ(spaced.text, packed.text);
+    // CRLF line ends assemble like LF ones
+    EXPECT_EQ(assemble("  add r1, r2, r3\r\n  halt\r\n").text,
+              assemble("  add r1, r2, r3\n  halt\n").text);
+}
+
+/**
+ * Hostile input: seeded byte mutants of every .s file in tests/asm, the
+ * syntax sampler and five registry kernels either assemble or fail
+ * with a FatalError; no other exception, and no crash.
+ */
+TEST(AssemblerHostileInput, MutantsAssembleOrFailCleanly)
+{
+    std::vector<std::pair<std::string, std::string>> sources;
+    for (const auto &path : test::testFiles("asm", ".s"))
+        sources.emplace_back(path.filename().string(), test::readFile(path));
+    sources.emplace_back("sampler", test::asmSampler);
+    for (const char *k : {"rgb2cmyk-uc", "adpcm-or", "dynprog-om",
+                          "hsort-ua", "bfs-uc-db"})
+        sources.emplace_back(k, kernelByName(k).source);
+    ASSERT_GE(sources.size(), 9u);
+
+    Rng rng(0x5eed);
+    for (const auto &[name, source] : sources) {
+        const auto runs = test::longDigitRuns(source);
+        unsigned ran = 0;
+        for (unsigned i = 0; i < 400; i++) {
+            const std::string m = test::mutate(source, rng);
+            if (test::longDigitRuns(m) != runs)
+                continue;
+            ran++;
+            try {
+                assemble(m);
+            } catch (const FatalError &) {
+            } catch (const std::exception &e) {
+                ADD_FAILURE() << name << " mutant " << i << ": "
+                              << e.what() << "\n" << m;
+            }
+        }
+        EXPECT_GT(ran, 300u) << name;
     }
 }
 
