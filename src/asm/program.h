@@ -97,7 +97,8 @@ class Program
     };
     std::vector<DataChunk> data;
 
-    std::map<std::string, Addr> symbols;
+    /** Label addresses; found by any string-like key. */
+    std::map<std::string, Addr, std::less<>> symbols;
 
     /** Address of @p name; throws FatalError when undefined. */
     Addr symbol(const std::string &name) const;

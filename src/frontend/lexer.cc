@@ -31,6 +31,9 @@ std::vector<Token>
 lex(const std::string &source)
 {
     std::vector<Token> out;
+    // Generated xl programs average two source bytes per token, and
+    // none has more than 0.6 tokens per byte.
+    out.reserve(source.size() * 3 / 5 + 1);
     unsigned line = 1;
     unsigned col = 1;
     size_t i = 0;
@@ -60,32 +63,25 @@ lex(const std::string &source)
             continue;
         }
 
-        Token tok;
+        Token &tok = out.emplace_back();
         tok.line = line;
         tok.col = col;
-
+        size_t j = i;
         if (std::isalpha(static_cast<unsigned char>(c)) || c == '_') {
-            size_t j = i;
             while (j < n &&
                    (std::isalnum(static_cast<unsigned char>(source[j])) ||
                     source[j] == '_'))
                 j++;
             tok.kind = Token::Kind::Ident;
-            tok.text = source.substr(i, j - i);
-            advance(j - i);
-            out.push_back(std::move(tok));
-            continue;
-        }
-
-        if (std::isdigit(static_cast<unsigned char>(c))) {
-            size_t j = i;
+        } else if (std::isdigit(static_cast<unsigned char>(c))) {
             i64 value = 0;
             bool overflow = false;
             while (j < n &&
                    std::isdigit(static_cast<unsigned char>(source[j]))) {
-                value = value * 10 + (source[j] - '0');
+                if (!overflow)
+                    value = value * 10 + (source[j] - '0');
                 if (value > i64{1} << 40)
-                    overflow = true;  // clamp; reject below
+                    overflow = true;  // stop accumulating; reject below
                 j++;
             }
             if (overflow || value > 0x7fffffffLL) {
@@ -95,40 +91,23 @@ lex(const std::string &source)
                     line, col);
             }
             tok.kind = Token::Kind::Number;
-            tok.text = source.substr(i, j - i);
             tok.value = value;
-            advance(j - i);
-            out.push_back(std::move(tok));
-            continue;
-        }
-
-        bool matched = false;
-        if (i + 1 < n) {
-            const std::string two = source.substr(i, 2);
-            for (const char *p : twoCharPuncts) {
-                if (two == p) {
-                    tok.kind = Token::Kind::Punct;
-                    tok.text = two;
-                    advance(2);
-                    out.push_back(std::move(tok));
-                    matched = true;
-                    break;
-                }
+        } else {
+            size_t width = singleCharPunct(c) ? 1 : 0;
+            if (i + 1 < n) {
+                for (const char *p : twoCharPuncts)
+                    if (c == p[0] && source[i + 1] == p[1])
+                        width = 2;
             }
-        }
-        if (matched)
-            continue;
-
-        if (singleCharPunct(c)) {
+            if (!width)
+                throw FrontendError(strf("unexpected character '", c, "'"),
+                                    line, col);
             tok.kind = Token::Kind::Punct;
-            tok.text = std::string(1, c);
-            advance(1);
-            out.push_back(std::move(tok));
-            continue;
+            j = i + width;
         }
-
-        throw FrontendError(strf("unexpected character '", c, "'"),
-                            line, col);
+        tok.text.assign(source, i, j - i);
+        col += static_cast<unsigned>(j - i);  // a token holds no newline
+        i = j;
     }
 
     Token end;

@@ -10,6 +10,7 @@
 #define XLOOPS_FRONTEND_LEXER_H
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/log.h"
@@ -53,7 +54,7 @@ struct Token
     unsigned line = 1;
     unsigned col = 1;
 
-    bool is(Kind k, const std::string &t) const
+    bool is(Kind k, std::string_view t) const
     {
         return kind == k && text == t;
     }

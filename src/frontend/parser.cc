@@ -62,7 +62,7 @@ class Parser
     }
 
     bool
-    eat(const std::string &punct)
+    eat(std::string_view punct)
     {
         if (peek().is(Token::Kind::Punct, punct)) {
             take();
@@ -72,14 +72,14 @@ class Parser
     }
 
     void
-    expect(const std::string &punct)
+    expect(std::string_view punct)
     {
         if (!eat(punct))
-            err("expected '" + punct + "'");
+            err(strf("expected '", punct, "'"));
     }
 
     bool
-    eatIdent(const std::string &word)
+    eatIdent(std::string_view word)
     {
         if (peek().is(Token::Kind::Ident, word)) {
             take();
@@ -89,10 +89,10 @@ class Parser
     }
 
     std::string
-    expectIdent(const std::string &what)
+    expectIdent(std::string_view what)
     {
         if (peek().kind != Token::Kind::Ident)
-            err("expected " + what);
+            err(strf("expected ", what));
         return take().text;
     }
 

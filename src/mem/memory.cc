@@ -68,12 +68,21 @@ MainMemory::writeFloat(Addr addr, float value)
 void
 MainMemory::loadBytes(Addr base, const std::vector<u8> &bytes)
 {
-    // Resolve each page the blob touches once, not once per byte.
+    // Resolve each page the blob touches once, not once per byte. A
+    // whole page of zeros bound for a page nothing has touched is
+    // skipped: that page already reads as zero, and zero bytes add
+    // nothing to the digest or a checkpoint.
     for (size_t i = 0; i < bytes.size();) {
         const Addr addr = base + static_cast<Addr>(i);
-        u8 *page = lookupPage(addr);
         const Addr off = addr & pageMask;
         const size_t n = std::min<size_t>(pageSize - off, bytes.size() - i);
+        if (n == pageSize && !pages.contains(addr >> pageBits) &&
+            std::all_of(&bytes[i], &bytes[i] + n,
+                        [](u8 b) { return b == 0; })) {
+            i += n;
+            continue;
+        }
+        u8 *page = lookupPage(addr);
         for (size_t j = 0; j < n; j++) {
             u8 &ob = page[off + j];
             const u8 nb = bytes[i + j];

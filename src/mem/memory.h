@@ -93,8 +93,12 @@ class MainMemory final : public MemIface
     float readFloat(Addr addr);
     void writeFloat(Addr addr, float value);
 
-    /** Copy a byte blob into memory at @p base. */
+    /** Copy a byte blob into memory at @p base. Whole pages of zeros
+     *  bound for untouched pages allocate nothing. */
     void loadBytes(Addr base, const std::vector<u8> &bytes);
+
+    /** Storage pages allocated so far. */
+    size_t pageCount() const { return pages.size(); }
 
     /** Apply the AMO combine function (shared with LSQ drains). */
     static u32 amoCompute(Op op, u32 old, u32 operand);
